@@ -38,14 +38,11 @@ from .correlations import (  # noqa: F401
 )
 from .dynamics import (  # noqa: F401
     FockTruncation,
-    PhaseUnsupportedError,
-    SectorCoefficients,
     TruncationError,
     choose_truncation,
-    coefficients_antiparallel,
-    coefficients_parallel,
+    reduced_densities,
     reduced_density,
-    rho_sector,
+    sector_amplitudes,
 )
 from .oracle import (  # noqa: F401
     ComparisonReport,

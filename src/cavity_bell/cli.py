@@ -9,8 +9,8 @@ import numpy as np
 
 from . import __version__
 from .correlations import concurrence, max_chsh
-from .dynamics import PhaseUnsupportedError, TruncationError, reduced_density
-from .numerics import DEFAULT_SEED, NumericalFailure
+from .dynamics import TruncationError, reduced_density
+from .numerics import NumericalFailure
 from .oracle import FRAMES, TruncationTooSmall, compare_closed_form
 from .states import (
     BASIS_LABELS,
@@ -92,8 +92,6 @@ def build_parser() -> _Parser:
     p_sweep.add_argument("--renormalize", action="store_true",
                          help="rescale the reduced density to unit trace")
     p_sweep.add_argument("--rho-out", default=None, help="also write the density entries to this CSV")
-    p_sweep.add_argument("--workers", type=int, default=None, help="thread count for grid points")
-    p_sweep.add_argument("--seed", type=int, default=None)
     p_sweep.add_argument("--config", default=None, help="key = value config file; flags override")
     p_sweep.add_argument("--out", required=True, help="output CSV path")
 
@@ -109,7 +107,6 @@ def build_parser() -> _Parser:
                        help="third fig1 curve: 3pi/4 (body text) or pi/3 (caption)")
     p_fig.add_argument("--fig3-panel2", choices=["caption", "text"], default="caption",
                        help="fig3 panel-2 photon number: caption (1) or text (5)")
-    p_fig.add_argument("--seed", type=int, default=DEFAULT_SEED)
 
     p_orc = sub.add_parser("oracle-check",
                            help="closed form vs joint-space evolution on a time grid")
@@ -173,7 +170,7 @@ def _merge_sweep_options(args) -> dict:
         "xi": args.xi, "eta": args.eta,
         "omega": args.omega, "g": args.g, "gamma2": args.gamma2,
         "t_start": args.t_start, "t_end": args.t_end, "points": args.points,
-        "tol": args.tol, "seed": args.seed, "workers": args.workers,
+        "tol": args.tol,
     }
     merged.update({k: v for k, v in overrides.items() if v is not None})
     if args.renormalize:
@@ -200,7 +197,6 @@ def _cmd_sweep(args) -> int:
         start=opts.get("t_start", 0.0), stop=opts.get("t_end", 10.0),
         count=opts.get("points", 400), tol=opts.get("tol", 1e-10),
         outputs=outputs, renormalize=opts.get("renormalize", False),
-        seed=opts.get("seed", DEFAULT_SEED), workers=opts.get("workers"),
     )
     series = run_sweep(job)
     write_series_csv(series, args.out)
@@ -223,7 +219,7 @@ def _cmd_figure(args) -> int:
         if bad:
             raise ValueError(f"panel out of range: {bad}")
     manifest = run_figure(preset, args.outdir, start=args.t_start, stop=args.t_end,
-                          count=args.points, tol=args.tol, panels=panels, seed=args.seed)
+                          count=args.points, tol=args.tol, panels=panels)
     print(f"wrote {len(manifest['files'])} series for {args.figure} into {args.outdir}")
     for note in manifest["notes"]:
         print(f"note: {note}")
@@ -274,7 +270,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return _COMMANDS[args.command](args)
-    except (ValueError, PhaseUnsupportedError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except (TruncationError, TruncationTooSmall, NumericalFailure) as exc:

@@ -1,25 +1,34 @@
 """Closed-form reduced spin density from the per-photon-sector expansion.
 
-Each photon sector n contributes a 4x4 block rho_n(t) assembled from a small
-family of trigonometric time functions (four for the antiparallel family,
-six for the parallel one) weighted by coherent-state amplitudes.  Summing
-the blocks over the populated sectors, with a controlled Poisson tail,
-gives the reduced density rho_r(t).
+The initial state carries two spin amplitudes, s = sin(xi) e^{i eta} and
+c = cos(xi) e^{-i eta}, next to a coherent field.  In photon sector n the
+evolution maps them onto a four-component spin amplitude vector built from
+a small family of trigonometric time functions (four for the antiparallel
+family, six for the parallel one) times coherent amplitudes taken in log
+space.  `sector_amplitudes` stacks these vectors into A[t, i, n] by numpy
+broadcasting, with time as a batch axis; the reduced density is
+rho_r(t) = A(t) A(t)^dag, the sum over the populated sectors with a
+controlled Poisson tail.
 
 The time functions are derived at zero coherent phase, in the frame where
 the free-field rotation has been factored out of the evolution operator.
-The `oracle` module cross-checks this expansion against a brute-force
-evolution in the truncated joint space; see its docstring for the frame
-discussion.
+A phase phi reduces to phi = 0 exactly: rho_phi(t) = S rho_0(t; eta') S^dag
+with S = diag(e^{i phi k}), k = (2, 1, 1, 0) the up-spin count, and
+eta' = eta - phi for the parallel family (eta' = eta for the antiparallel
+one).  The `oracle` module cross-checks this expansion against a
+brute-force evolution in the truncated joint space; see its docstring for
+the frame discussion.
 """
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .states import CavityConfig, EntangledStateSpec, Polarization
+from .numerics import coherent_log_amplitudes
+from .states import SPIN_EXCITATIONS, CavityConfig, EntangledStateSpec, Polarization
 
 SECTOR_CAP = 4096
 #: sectors evaluated beyond the Poisson n_max; the dynamics moves photon
@@ -29,10 +38,6 @@ SAFETY_SECTORS = 2
 
 class TruncationError(RuntimeError):
     """The requested Poisson-tail tolerance is not reachable within the sector cap."""
-
-
-class PhaseUnsupportedError(ValueError):
-    """The closed-form expansion is only available at coherent phase phi = 0."""
 
 
 @dataclass(frozen=True)
@@ -67,195 +72,101 @@ def choose_truncation(gamma: float, tol: float) -> FockTruncation:
     return FockTruncation(n, max(1.0 - acc, 0.0))
 
 
-@dataclass(frozen=True)
-class SectorCoefficients:
-    """Time functions of one photon sector, kept numerically tame.
+def sector_amplitudes(spec: EntangledStateSpec, times, cfg: CavityConfig,
+                      n_sectors: int) -> np.ndarray:
+    """Spin amplitudes A[t, i, n] of photon sectors n = 0..n_sectors-1 on a time grid.
 
-    Each coefficient is stored as a bounded trigonometric factor together
-    with its integer power of gamma, i.e. coefficient = bounded * gamma^power.
-    Coefficients whose printed form carries a vanishing integer prefactor
-    (the n = 0 and n <= 1 cases of the gamma^{n-1} / gamma^{n-2} terms) are
-    exactly zero and never evaluate a negative power of gamma.
+    Sector n contributes the rank-one block A[t, :, n] A[t, :, n]^dag to the
+    reduced density.  Each entry is a coherent amplitude of photon number
+    n - 2..n + 2 times a bounded time function, so A stays finite at any
+    gamma; in terms of the scaled coefficients (Ck, Dk times
+    e^{-gamma^2/2} / sqrt(n!)) and s = sin(xi) e^{i eta'},
+    c = cos(xi) e^{-i eta'}:
+
+    antiparallel  A = (C1 (s + c), C2 s + C3 c, C3 s + C2 c, C4 (s + c))
+    parallel      A = (D1 s + D2 c, D3 s + D4 c, D3 s + D4 c, D5 s + D6 c)
+
+    with C1 = gamma^{n+1} sin(g t sqrt(4n+6)) / sqrt(4n+6),
+    C2 = gamma^n cos^2(g t sqrt((2n+1)/2)), C3 = -gamma^n sin^2(same),
+    C4 = -gamma^{n-1} n sin(g t sqrt(4n-2)) / sqrt(4n-2),
+    D1 = gamma^n (1 - 2(n+1) sin^2(g t sqrt((2n+3)/2)) / (2n+3)),
+    D2 = gamma^{n+2} 2 sin^2(same) / (2n+3),
+    D3 = -gamma^{n-1} n sin(g t sqrt(4n+2)) / sqrt(4n+2),
+    D4 = gamma^{n+1} sin(same) / sqrt(4n+2),
+    D5 = gamma^{n-2} 2 n(n-1) sin^2(g t sqrt((2n-1)/2)) / (2n-1),
+    D6 = gamma^n (1 - 2n sin^2(same) / (2n-1)).
+    C4 and D3 vanish at n = 0 and D5 at n <= 1.  The phase phi enters as
+    eta' and the factor e^{i phi k} on row k (see the module docstring).
     """
+    n = np.arange(n_sectors)
+    gt = cfg.g * np.asarray(times, dtype=float)[:, None]
+    # coherent amplitudes of photon numbers -2 .. n_sectors + 1
+    weights = np.exp(coherent_log_amplitudes(cfg.gamma, np.arange(-2, n_sectors + 2)))
 
-    n: int
-    t: float
-    gamma: float
-    labels: tuple[str, ...]
-    gamma_powers: tuple[int, ...]
-    bounded: tuple[float, ...]
+    def coh(shift: int) -> np.ndarray:
+        """Coherent amplitude of photon number n + shift, per sector n."""
+        return weights[2 + shift:2 + shift + n_sectors]
 
-    def values(self) -> np.ndarray:
-        """Raw coefficient values; may overflow for large gamma and n (use
-        scaled() or log_magnitudes() in that regime)."""
-        return np.array([b * self.gamma ** p if b != 0.0 else 0.0
-                         for p, b in zip(self.gamma_powers, self.bounded)])
-
-    def log_magnitudes(self) -> np.ndarray:
-        """log|coefficient| per entry, -inf where the coefficient vanishes."""
-        out = np.full(len(self.bounded), -np.inf)
-        for i, (p, b) in enumerate(zip(self.gamma_powers, self.bounded)):
-            if b == 0.0 or (self.gamma == 0.0 and p > 0):
-                continue
-            out[i] = math.log(abs(b)) + (p * math.log(self.gamma) if p > 0 else 0.0)
-        return out
-
-    def scaled(self) -> np.ndarray:
-        """Coefficient * e^{-gamma^2/2} / sqrt(n!), the per-sector amplitude scale.
-
-        Assembled in log space; every entry is bounded by order one, so the
-        sector sum never overflows even at gamma^2 = 150.
-        """
-        half_lgamma = 0.5 * math.lgamma(self.n + 1)
-        out = np.zeros(len(self.bounded))
-        for i, (p, b) in enumerate(zip(self.gamma_powers, self.bounded)):
-            if b == 0.0:
-                continue
-            if self.gamma == 0.0:
-                if p == 0:
-                    out[i] = b * math.exp(-half_lgamma)
-                continue
-            out[i] = b * math.exp(
-                p * math.log(self.gamma) - 0.5 * self.gamma * self.gamma - half_lgamma
-            )
-        return out
-
-
-def coefficients_antiparallel(n: int, t: float, cfg: CavityConfig) -> SectorCoefficients:
-    """C1..C4 for sector n of the antiparallel family.
-
-    C1 = gamma^{n+1} sin(g t sqrt(4n+6)) / sqrt(4n+6)
-    C2 = gamma^n     cos^2(g t sqrt((2n+1)/2))
-    C3 = -gamma^n    sin^2(g t sqrt((2n+1)/2))
-    C4 = -gamma^{n-1} n sin(g t sqrt(4n-2)) / sqrt(4n-2)   (== 0 at n = 0)
-    """
-    if n < 0:
-        raise ValueError("sector index must be >= 0")
-    g = cfg.g
-    r1 = math.sqrt(4.0 * n + 6.0)
-    x = g * t * math.sqrt((2.0 * n + 1.0) / 2.0)
-    b1 = math.sin(g * t * r1) / r1
-    b2 = math.cos(x) ** 2
-    b3 = -math.sin(x) ** 2
-    if n == 0:
-        b4 = 0.0
+    parallel = spec.polarization is Polarization.PARALLEL
+    eta = spec.eta - cfg.phi if parallel else spec.eta
+    s = math.sin(spec.xi) * cmath.exp(1j * eta)
+    c = math.cos(spec.xi) * cmath.exp(-1j * eta)
+    amps = np.empty((gt.shape[0], 4, n_sectors), dtype=complex)
+    if parallel:
+        sx2 = np.sin(gt * np.sqrt((2 * n + 3) / 2)) ** 2
+        r = np.sqrt(4 * n + 2)
+        sr = np.sin(gt * r) / r
+        # |2n-1| keeps n = 0 finite; the factor n zeroes it there
+        sy2 = np.sin(gt * np.sqrt(np.abs(2 * n - 1) / 2)) ** 2
+        u11 = 1.0 - 2 * (n + 1) * sx2 / (2 * n + 3)
+        u14 = 2 * np.sqrt((n + 1) * (n + 2)) * sx2 / (2 * n + 3)
+        u21, u24 = -np.sqrt(n) * sr, np.sqrt(n + 1) * sr
+        u41 = 2 * np.sqrt(n * (n - 1)) * sy2 / (2 * n - 1)
+        u44 = 1.0 - 2 * n * sy2 / (2 * n - 1)
+        amps[:, 0] = coh(0) * u11 * s + coh(2) * u14 * c
+        amps[:, 1] = coh(-1) * u21 * s + coh(1) * u24 * c
+        amps[:, 2] = amps[:, 1]
+        amps[:, 3] = coh(-2) * u41 * s + coh(0) * u44 * c
     else:
-        r4 = math.sqrt(4.0 * n - 2.0)
-        b4 = -n * math.sin(g * t * r4) / r4
-    return SectorCoefficients(
-        n=n, t=t, gamma=cfg.gamma,
-        labels=("C1", "C2", "C3", "C4"),
-        gamma_powers=(n + 1, n, n, n - 1 if n else 0),
-        bounded=(b1, b2, b3, b4),
-    )
+        r1 = np.sqrt(4 * n + 6)
+        k1 = np.sqrt(n + 1) * np.sin(gt * r1) / r1
+        x = gt * np.sqrt((2 * n + 1) / 2)
+        k2, k3 = np.cos(x) ** 2, -np.sin(x) ** 2
+        # |4n-2| keeps n = 0 finite; the factor sqrt(n) zeroes it there
+        r4 = np.sqrt(np.abs(4 * n - 2))
+        k4 = -np.sqrt(n) * np.sin(gt * r4) / r4
+        amps[:, 0] = coh(1) * k1 * (s + c)
+        amps[:, 1] = coh(0) * (k2 * s + k3 * c)
+        amps[:, 2] = coh(0) * (k3 * s + k2 * c)
+        amps[:, 3] = coh(-1) * k4 * (s + c)
+    amps *= np.exp(1j * cfg.phi * SPIN_EXCITATIONS)[:, None]
+    return amps
 
 
-def coefficients_parallel(n: int, t: float, cfg: CavityConfig) -> SectorCoefficients:
-    """D1..D6 for sector n of the parallel family.
+def reduced_densities(spec: EntangledStateSpec, times, cfg: CavityConfig,
+                      tol: float = 1e-10) -> tuple[np.ndarray, FockTruncation]:
+    """Reduced spin densities rho_r(t), shape (len(times), 4, 4), Poisson tail <= tol.
 
-    D1 = gamma^n     (1 - 2(n+1) sin^2(g t sqrt((2n+3)/2)) / (2n+3))
-    D2 = gamma^{n+2} 2 sin^2(g t sqrt((2n+3)/2)) / (2n+3)
-    D3 = -gamma^{n-1} n sin(g t sqrt(4n+2)) / sqrt(4n+2)       (== 0 at n = 0)
-    D4 = gamma^{n+1} sin(g t sqrt(4n+2)) / sqrt(4n+2)
-    D5 = gamma^{n-2} 2 n(n-1) sin^2(g t sqrt((2n-1)/2)) / (2n-1)  (== 0 at n <= 1)
-    D6 = gamma^n     (1 - 2 n sin^2(g t sqrt((2n-1)/2)) / (2n-1))
+    Sectors run to n_max + SAFETY_SECTORS.  Each trace sits in
+    [1 - 2 tol, 1] and is left as-is, so a truncation bug cannot hide
+    behind silent rescaling.
     """
-    if n < 0:
-        raise ValueError("sector index must be >= 0")
-    g = cfg.g
-    x = g * t * math.sqrt((2.0 * n + 3.0) / 2.0)
-    sx2 = math.sin(x) ** 2
-    b1 = 1.0 - 2.0 * (n + 1) * sx2 / (2.0 * n + 3.0)
-    b2 = 2.0 * sx2 / (2.0 * n + 3.0)
-    r = math.sqrt(4.0 * n + 2.0)
-    s4 = math.sin(g * t * r) / r
-    b3 = 0.0 if n == 0 else -n * s4
-    b4 = s4
-    if n == 0:
-        b5, b6 = 0.0, 1.0
-    else:
-        y = g * t * math.sqrt((2.0 * n - 1.0) / 2.0)
-        sy2 = math.sin(y) ** 2
-        b5 = 0.0 if n == 1 else 2.0 * n * (n - 1) * sy2 / (2.0 * n - 1.0)
-        b6 = 1.0 - 2.0 * n * sy2 / (2.0 * n - 1.0)
-    return SectorCoefficients(
-        n=n, t=t, gamma=cfg.gamma,
-        labels=("D1", "D2", "D3", "D4", "D5", "D6"),
-        gamma_powers=(n, n + 2, n - 1 if n else 0, n + 1, n - 2 if n > 1 else 0, n),
-        bounded=(b1, b2, b3, b4, b5, b6),
-    )
-
-
-def rho_sector(spec: EntangledStateSpec, n: int, t: float, cfg: CavityConfig) -> np.ndarray:
-    """Unnormalized photon-sector contribution rho_n(t), Poisson weight included.
-
-    All ten independent entries follow the sector element lists; the lower
-    triangle is the conjugate of the upper one.  Valid at phi = 0 only.
-    """
-    if cfg.phi != 0.0:
-        raise PhaseUnsupportedError("sector expansion requires phi = 0")
-    sx = math.sin(spec.xi)
-    cx = math.cos(spec.xi)
-    s2x = math.sin(2.0 * spec.xi)
-    c2e = math.cos(2.0 * spec.eta)
-    e2 = np.exp(2j * spec.eta)
-    e2c = np.conj(e2)
-    rho = np.zeros((4, 4), dtype=complex)
-
-    if spec.polarization is Polarization.ANTIPARALLEL:
-        c1, c2, c3, c4 = coefficients_antiparallel(n, t, cfg).scaled()
-        kang = 1.0 + s2x * c2e
-        rho[0, 0] = c1 * c1 * kang
-        rho[1, 1] = c2 * c2 * sx * sx + c3 * c3 * cx * cx + c2 * c3 * s2x * c2e
-        rho[2, 2] = c2 * c2 * cx * cx + c3 * c3 * sx * sx + c2 * c3 * s2x * c2e
-        rho[3, 3] = c4 * c4 * kang
-        rho[0, 1] = c1 * (c2 * sx * sx + c3 * cx * cx + (c2 * e2c + c3 * e2) * sx * cx)
-        rho[0, 2] = c1 * (c3 * sx * sx + c2 * cx * cx + (c3 * e2c + c2 * e2) * sx * cx)
-        rho[0, 3] = c1 * c4 * kang
-        rho[1, 2] = c2 * c3 + 0.5 * s2x * (c2 * c2 * e2 + c3 * c3 * e2c)
-        rho[1, 3] = c4 * (c2 * sx * sx + c3 * cx * cx + (c2 * e2 + c3 * e2c) * sx * cx)
-        rho[2, 3] = c4 * (c3 * sx * sx + c2 * cx * cx + (c3 * e2 + c2 * e2c) * sx * cx)
-    else:
-        d1, d2, d3, d4, d5, d6 = coefficients_parallel(n, t, cfg).scaled()
-        rho[0, 0] = d1 * d1 * sx * sx + d2 * d2 * cx * cx + d1 * d2 * s2x * c2e
-        diag22 = d3 * d3 * sx * sx + d4 * d4 * cx * cx + d3 * d4 * s2x * c2e
-        rho[1, 1] = diag22
-        rho[2, 2] = diag22
-        rho[3, 3] = d5 * d5 * sx * sx + d6 * d6 * cx * cx + d5 * d6 * s2x * c2e
-        upper = d2 * cx + d1 * sx * e2
-        mid_conj = d4 * cx + d3 * sx * e2c
-        low_conj = d6 * cx + d5 * sx * e2c
-        rho[0, 1] = mid_conj * upper
-        rho[0, 2] = rho[0, 1]
-        rho[0, 3] = low_conj * upper
-        rho[1, 2] = diag22
-        rho[1, 3] = low_conj * (d4 * cx + d3 * sx * e2)
-        rho[2, 3] = rho[1, 3]
-
-    iu = np.triu_indices(4, k=1)
-    rho[(iu[1], iu[0])] = rho[iu].conj()
-    return rho
+    if not 0.0 < tol <= 1e-3:
+        raise ValueError("tol must lie in (0, 1e-3]")
+    trunc = choose_truncation(cfg.gamma, tol)
+    amps = sector_amplitudes(spec, times, cfg, trunc.n_max + SAFETY_SECTORS + 1)
+    return np.einsum("tin,tjn->tij", amps, amps.conj()), trunc
 
 
 def reduced_density(spec: EntangledStateSpec, t: float, cfg: CavityConfig,
                     tol: float = 1e-10, renormalize: bool = False
                     ) -> tuple[np.ndarray, FockTruncation]:
-    """Reduced spin density rho_r(t) as the sector sum with Poisson tail <= tol.
+    """Reduced spin density at one time; see reduced_densities.
 
-    Sectors run to n_max + SAFETY_SECTORS.  The returned trace sits in
-    [1 - 2 tol, 1]; it is left as-is unless ``renormalize`` is set, so a
-    truncation bug cannot hide behind silent rescaling.
+    ``renormalize`` rescales the result to unit trace.
     """
-    if not 0.0 < tol <= 1e-3:
-        raise ValueError("tol must lie in (0, 1e-3]")
-    if cfg.phi != 0.0:
-        raise PhaseUnsupportedError(
-            "sector expansion requires phi = 0; use the oracle module for phi != 0"
-        )
-    trunc = choose_truncation(cfg.gamma, tol)
-    rho = np.zeros((4, 4), dtype=complex)
-    for n in range(trunc.n_max + SAFETY_SECTORS + 1):
-        rho += rho_sector(spec, n, t, cfg)
+    rhos, trunc = reduced_densities(spec, [t], cfg, tol)
+    rho = rhos[0]
     if renormalize:
         rho = rho / np.trace(rho).real
     return rho, trunc

@@ -1,8 +1,8 @@
 """Small dense numeric kernels shared by the whole package.
 
 Everything here is a thin, contract-checked wrapper around LAPACK (via
-numpy) plus a few log-space helpers that keep Poisson/coherent weights
-finite for mean photon numbers up to the hundreds.
+numpy) plus the log-space coherent amplitude that keeps Poisson/coherent
+weights finite for mean photon numbers up to the hundreds.
 """
 from __future__ import annotations
 
@@ -18,8 +18,7 @@ __all__ = [
     "hermiticity_defect",
     "hermitian_eigensystem",
     "general_eigenvalues_4",
-    "stable_poisson_logweight",
-    "poisson_logweights",
+    "coherent_log_amplitudes",
     "random_density_matrix",
     "DEFAULT_SEED",
 ]
@@ -75,24 +74,26 @@ def general_eigenvalues_4(m) -> np.ndarray:
         raise NumericalFailure(f"eigenvalue computation failed: {exc}") from exc
 
 
-def stable_poisson_logweight(n: int, gamma: float) -> float:
-    """log of the Poisson weight e^{-gamma^2} gamma^{2n} / n!.
+def coherent_log_amplitudes(gamma: float, n) -> np.ndarray:
+    """log of the coherent amplitude gamma^n e^{-gamma^2/2} / sqrt(n!) per entry of ``n``.
 
-    Assembled as ``2n ln(gamma) - gamma^2 - lgamma(n+1)`` so the weight stays
-    representable for gamma^2 in the hundreds, where gamma^{2n} alone would
-    overflow any fixed-width float.
+    Assembled as ``n ln(gamma) - gamma^2/2 - lgamma(n+1)/2`` so the amplitude
+    stays representable for gamma^2 in the hundreds, where gamma^n alone would
+    overflow any fixed-width float.  Twice the value is the Poisson
+    log-weight.  Entries where the amplitude vanishes (n < 0, or n > 0 at
+    gamma = 0) are -inf.
     """
-    if gamma <= 0.0:
-        raise ValueError("gamma must be positive (gamma = 0 is a single-sector special case)")
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    return 2.0 * n * math.log(gamma) - gamma * gamma - math.lgamma(n + 1)
-
-
-def poisson_logweights(n_max: int, gamma: float) -> np.ndarray:
-    """Vector of stable_poisson_logweight(n, gamma) for n = 0..n_max."""
-    n = np.arange(n_max + 1)
-    return 2.0 * n * math.log(gamma) - gamma * gamma - np.array([math.lgamma(k + 1) for k in n])
+    if gamma < 0.0:
+        raise ValueError("gamma must be >= 0")
+    n = np.asarray(n)
+    out = np.full(n.shape, -np.inf)
+    if gamma == 0.0:
+        out[n == 0] = 0.0
+        return out
+    k = n[n >= 0]
+    out[n >= 0] = (k * math.log(gamma) - 0.5 * gamma * gamma
+                   - 0.5 * np.array([math.lgamma(j + 1) for j in k.tolist()]))
+    return out
 
 
 def random_density_matrix(rng: np.random.Generator, dim: int = 4) -> np.ndarray:

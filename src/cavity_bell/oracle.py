@@ -19,14 +19,13 @@ Two evolution frames are supported.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import SAFETY_SECTORS, choose_truncation, reduced_density
-from .numerics import hermitian_eigensystem
-from .states import CavityConfig, EntangledStateSpec, make_entangled
+from .dynamics import SAFETY_SECTORS, choose_truncation, reduced_densities
+from .numerics import coherent_log_amplitudes, hermitian_eigensystem
+from .states import SPIN_EXCITATIONS, CavityConfig, EntangledStateSpec, make_entangled
 
 FRAMES = ("corotating", "lab")
 #: extra Fock sectors beyond the closed-form truncation, keeping edge
@@ -40,8 +39,6 @@ _SP = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)  # |+><-|
 _I2 = np.eye(2, dtype=complex)
 J_PLUS = np.kron(_SP, _I2) + np.kron(_I2, _SP)
 J_MINUS = J_PLUS.conj().T
-#: number of up spins per two-qubit basis state
-SPIN_EXCITATIONS = np.array([2.0, 1.0, 1.0, 0.0])
 
 
 @dataclass(frozen=True)
@@ -90,14 +87,8 @@ def excitation_operator(n_fock: int) -> np.ndarray:
 
 def coherent_amplitudes(gamma: float, phi: float, n_fock: int) -> np.ndarray:
     """Truncated coherent-state amplitudes alpha^n e^{-|alpha|^2/2} / sqrt(n!)."""
-    if gamma == 0.0:
-        amps = np.zeros(n_fock + 1, dtype=complex)
-        amps[0] = 1.0
-        return amps
     n = np.arange(n_fock + 1)
-    logmag = (n * math.log(gamma) - 0.5 * gamma * gamma
-              - 0.5 * np.array([math.lgamma(k + 1) for k in n]))
-    return np.exp(logmag) * np.exp(1j * phi * n)
+    return np.exp(coherent_log_amplitudes(gamma, n)) * np.exp(1j * phi * n)
 
 
 def joint_from_spin(spin_amps, cfg: CavityConfig, n_fock: int) -> JointState:
@@ -228,14 +219,10 @@ def compare_closed_form(spec: EntangledStateSpec, cfg: CavityConfig, times,
                         tol: float = 1e-6, closed_tol: float = 1e-10,
                         frame: str = "corotating") -> ComparisonReport:
     """Element-wise deviation between the sector expansion and the joint-space
-    evolution on a time grid.  The closed form requires phi = 0."""
+    evolution on a time grid."""
     times = np.asarray(times, dtype=float)
     n_fock = default_n_fock(cfg, closed_tol)
     oracle_rhos, _ = reduced_dynamics(spec, cfg, times, frame=frame, n_fock=n_fock)
-    devs = np.empty(len(times))
-    n_max = 0
-    for i, t in enumerate(times):
-        closed, trunc = reduced_density(spec, t, cfg, tol=closed_tol)
-        n_max = trunc.n_max
-        devs[i] = np.abs(closed - oracle_rhos[i]).max()
-    return ComparisonReport(times, devs, tol, frame, n_fock, n_max)
+    closed, trunc = reduced_densities(spec, times, cfg, tol=closed_tol)
+    devs = np.abs(closed - np.stack(oracle_rhos)).max(axis=(1, 2))
+    return ComparisonReport(times, devs, tol, frame, n_fock, trunc.n_max)

@@ -18,6 +18,8 @@ TWO_PI = 2.0 * math.pi
 
 #: (|++>, |+->, |-+>, |-->) basis labels, used by the CLI for display.
 BASIS_LABELS = ("|++>", "|+->", "|-+>", "|-->")
+#: number of up spins per basis state
+SPIN_EXCITATIONS = np.array([2.0, 1.0, 1.0, 0.0])
 
 
 class Polarization(enum.Enum):

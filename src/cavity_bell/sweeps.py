@@ -1,11 +1,15 @@
-"""Sweep jobs, figure presets, and CSV/JSON emission."""
+"""Sweep jobs, figure presets, config files, and CSV/JSON emission.
+
+A sweep evaluates the closed-form reduced density at each grid time and
+reduces it to the maximum CHSH value, the concurrence and the trace
+deficit.  Nothing in a sweep is random, so identical jobs write
+byte-identical files.
+"""
 from __future__ import annotations
 
 import configparser
 import json
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -14,12 +18,10 @@ import numpy as np
 from . import __version__
 from .correlations import concurrence, max_chsh
 from .dynamics import reduced_density
-from .numerics import DEFAULT_SEED
 from .states import CavityConfig, EntangledStateSpec, Polarization
 
 CSV_HEADER = "t_over_T,p_chsh_max,concurrence,trace_deficit"
-SCHEMA_VERSION = 1
-THREADS_ENV = "CAVITY_BELL_THREADS"
+SCHEMA_VERSION = 2
 
 KNOWN_OUTPUTS = ("p_chsh_max", "concurrence", "trace_deficit", "rho_elements")
 DEFAULT_OUTPUTS = ("p_chsh_max", "concurrence", "trace_deficit")
@@ -46,8 +48,6 @@ class SweepJob:
     tol: float = 1e-10
     outputs: tuple[str, ...] = DEFAULT_OUTPUTS
     renormalize: bool = False
-    seed: int = DEFAULT_SEED
-    workers: int | None = None
 
     def __post_init__(self):
         if self.count < 2:
@@ -78,40 +78,18 @@ class CorrelationSeries:
     rho: np.ndarray | None = None
 
 
-def _worker_count(job: SweepJob) -> int:
-    env = os.environ.get(THREADS_ENV)
-    cap = None
-    if env:
-        try:
-            cap = max(1, int(env))
-        except ValueError:
-            raise ValueError(f"{THREADS_ENV} must be an integer, got {env!r}")
-    workers = job.workers if job.workers is not None else (cap or 1)
-    if cap is not None:
-        workers = min(workers, cap)
-    return max(1, workers)
-
-
 def run_sweep(job: SweepJob) -> CorrelationSeries:
     """Evaluate the reduced density on the grid and derive the requested series."""
     period = job.cfg.period
     times = job.times_over_period()
-
-    def at_time(tau: float):
+    rows = []
+    for tau in times:
         rho, trunc = reduced_density(job.spec, tau * period, job.cfg, tol=job.tol)
         deficit = 1.0 - float(np.trace(rho).real)
         if job.renormalize:
             rho = rho / np.trace(rho).real
-        return max_chsh(rho), concurrence(rho), deficit, rho, trunc
+        rows.append((max_chsh(rho), concurrence(rho), deficit, rho))
 
-    workers = _worker_count(job)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(at_time, times))
-    else:
-        rows = [at_time(tau) for tau in times]
-
-    trunc = rows[0][4]
     series = CorrelationSeries(
         times_over_T=times,
         p_chsh_max=np.array([r[0] for r in rows]),
@@ -146,7 +124,6 @@ def series_manifest(series: CorrelationSeries) -> dict:
         "tol": job.tol,
         "outputs": ",".join(job.outputs),
         "renormalize": job.renormalize,
-        "seed": job.seed,
         "n_max": series.n_max,
         "tail_bound": series.tail_bound,
     }
@@ -248,7 +225,7 @@ def _gamma2_label(g2: float) -> str:
 
 def run_figure(preset: FigurePreset, outdir, start: float = 0.0, stop: float = 10.0,
                count: int = 400, tol: float = 1e-10, panels=None,
-               omega: float = 1.0, g: float = 1.0, seed: int = DEFAULT_SEED) -> dict:
+               omega: float = 1.0, g: float = 1.0) -> dict:
     """Sweep every (panel, curve) of a preset into CSV files plus a manifest."""
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -259,8 +236,7 @@ def run_figure(preset: FigurePreset, outdir, start: float = 0.0, stop: float = 1
         for label, xi, eta in preset.curves:
             spec = EntangledStateSpec(preset.polarization, xi, eta)
             cfg = CavityConfig.from_mean_photons(g2, omega=omega, g=g)
-            job = SweepJob(spec, cfg, start=start, stop=stop, count=count,
-                           tol=tol, seed=seed)
+            job = SweepJob(spec, cfg, start=start, stop=stop, count=count, tol=tol)
             series = run_sweep(job)
             name = f"{preset.figure}_p{panel}_g2-{_gamma2_label(g2)}_{label}.csv"
             write_series_csv(series, outdir / name)
@@ -276,7 +252,6 @@ def run_figure(preset: FigurePreset, outdir, start: float = 0.0, stop: float = 1
         "polarization": preset.polarization.value,
         "panel_gamma2": list(preset.panel_gamma2),
         "notes": list(preset.notes),
-        "seed": seed,
         "files": files,
     }
     write_manifest(manifest, outdir / f"{preset.figure}_manifest.json")
@@ -290,8 +265,9 @@ def load_job_config(path) -> dict:
     """Read a key = value config mirroring SweepJob fields; returns a flat dict.
 
     Sections: [state] polarization/xi/eta, [cavity] omega/g/gamma2/phi,
-    [grid] start/stop/count, [run] tol/outputs/renormalize/seed/workers.
-    CLI flags override whatever the file sets.
+    [grid] start/stop/count, [run] tol/outputs/renormalize.  Any other
+    section or key is a ValueError naming it.  CLI flags override whatever
+    the file sets.
     """
     parser = configparser.ConfigParser()
     read = parser.read(path)
@@ -312,9 +288,11 @@ def load_job_config(path) -> dict:
         ("run", "tol"): ("tol", float),
         ("run", "outputs"): ("outputs", str),
         ("run", "renormalize"): ("renormalize", None),
-        ("run", "seed"): ("seed", int),
-        ("run", "workers"): ("workers", int),
     }
+    for section in (parser.default_section, *parser.sections()):
+        for key in parser[section]:
+            if (section, key) not in getters:
+                raise ValueError(f"unknown config key {key!r} in section [{section}] of {path}")
     for (section, key), (name, conv) in getters.items():
         if parser.has_option(section, key):
             if conv is None:

@@ -7,11 +7,10 @@ import pytest
 from cavity_bell.numerics import (
     NumericalFailure,
     as_complex_matrix,
+    coherent_log_amplitudes,
     general_eigenvalues_4,
     hermitian_eigensystem,
-    poisson_logweights,
     random_density_matrix,
-    stable_poisson_logweight,
 )
 
 
@@ -107,12 +106,26 @@ def test_psd_classification_consistent(rng):
         assert (w.min() >= -1e-9) == (vals.min() >= -1e-9)
 
 
+def poisson_logweight(n, gamma):
+    """log of the Poisson weight e^{-gamma^2} gamma^{2n} / n!."""
+    return 2.0 * coherent_log_amplitudes(gamma, n)
+
+
 def test_poisson_logweight_basics():
-    assert math.isclose(stable_poisson_logweight(0, 1.0), -1.0, rel_tol=1e-14)
+    assert math.isclose(poisson_logweight(0, 1.0), -1.0, rel_tol=1e-14)
+    assert list(poisson_logweight([0, 1, 5], 0.0)) == [0.0, -np.inf, -np.inf]
+    assert poisson_logweight(-1, 1.0) == -np.inf
     with pytest.raises(ValueError):
-        stable_poisson_logweight(0, 0.0)
-    with pytest.raises(ValueError):
-        stable_poisson_logweight(-1, 1.0)
+        coherent_log_amplitudes(-1.0, 0)
+
+
+def test_coherent_log_amplitudes_match_direct_powers(rng):
+    for _ in range(20):
+        gamma = rng.uniform(0.1, 2.0)
+        n = np.arange(8)
+        direct = np.array([gamma ** k * math.exp(-0.5 * gamma ** 2) / math.sqrt(math.factorial(k))
+                           for k in n])
+        assert np.abs(np.exp(coherent_log_amplitudes(gamma, n)) - direct).max() < 1e-13
 
 
 def test_poisson_logweight_concentration_value():
@@ -120,7 +133,7 @@ def test_poisson_logweight_concentration_value():
     # 150 log(150) - 150 - log(150!)
     mpmath.mp.dps = 60
     ref = float(150 * mpmath.log(150) - 150 - mpmath.log(mpmath.factorial(150)))
-    got = stable_poisson_logweight(150, math.sqrt(150.0))
+    got = poisson_logweight(150, math.sqrt(150.0))
     assert abs(got - ref) < 1e-10
     assert abs(ref - (-3.42481173498532)) < 1e-12
 
@@ -129,7 +142,7 @@ def test_poisson_logweight_concentration_value():
 def test_poisson_weights_normalized(gamma2):
     gamma = math.sqrt(gamma2)
     n_max = int(gamma2 + 40 * math.sqrt(gamma2) + 60)
-    total = np.exp(poisson_logweights(n_max, gamma)).sum()
+    total = np.exp(poisson_logweight(np.arange(n_max + 1), gamma)).sum()
     assert abs(total - 1.0) < 1e-12
 
 
@@ -140,7 +153,7 @@ def test_lgamma_against_log_recursion():
     for n in range(1, 4097):
         acc += math.log(n)
         if n in checkpoints:
-            got = stable_poisson_logweight(n, 1.0)  # = -1 - log(n!)
+            got = poisson_logweight(n, 1.0)  # = -1 - log(n!)
             assert abs((got + 1.0 + acc) / max(acc, 1.0)) < 1e-12
 
 

@@ -250,6 +250,25 @@ def test_compare_spec_examples():
     assert compare_closed_form(spec5, cfg5, np.linspace(0, 5 * cfg5.period, 25)).passed
 
 
+@pytest.mark.parametrize("gamma2", [15.0, 150.0])
+@pytest.mark.parametrize("polarization", list(Polarization))
+def test_compare_large_fields(gamma2, polarization):
+    # the collapse (15) and revival (150) regimes of the published figures
+    cfg = CavityConfig.from_mean_photons(gamma2)
+    spec = EntangledStateSpec(polarization, math.pi / 6, math.pi / 3)
+    report = compare_closed_form(spec, cfg, np.linspace(0, 10 * cfg.period, 8))
+    assert report.passed and report.max_deviation <= 1e-6
+
+
+@pytest.mark.parametrize("phi", [0.3, 1.1, -2.0])
+@pytest.mark.parametrize("polarization", list(Polarization))
+def test_compare_nonzero_phase(phi, polarization):
+    cfg = CavityConfig(gamma=1.3, phi=phi)
+    spec = EntangledStateSpec(polarization, 0.7, 0.4)
+    report = compare_closed_form(spec, cfg, np.linspace(0, 3 * cfg.period, 12))
+    assert report.passed and report.max_deviation <= 1e-6
+
+
 def test_compare_lab_frame_reports_failure():
     cfg = CavityConfig(omega=1.0, g=1.0, gamma=0.0)
     report = compare_closed_form(ANTI_QUARTER, cfg, [math.pi / (2 * math.sqrt(2))],

@@ -10,7 +10,6 @@ from cavity_bell.states import CavityConfig, EntangledStateSpec, Polarization
 from cavity_bell.sweeps import (
     CSV_HEADER,
     SweepJob,
-    THREADS_ENV,
     figure_preset,
     load_job_config,
     run_figure,
@@ -82,36 +81,14 @@ def test_csv_deterministic_and_well_formed(tmp_path):
     assert float(rows[-1]["t_over_T"]) == 1.0
 
 
-def test_workers_do_not_change_results(tmp_path, monkeypatch):
-    seq = run_sweep(small_job(workers=1, count=20))
-    par = run_sweep(small_job(workers=3, count=20))
-    assert np.array_equal(seq.p_chsh_max, par.p_chsh_max)
-    assert np.array_equal(seq.concurrence, par.concurrence)
-    monkeypatch.setenv(THREADS_ENV, "2")
-    env = run_sweep(small_job(count=20))
-    assert np.array_equal(seq.p_chsh_max, env.p_chsh_max)
-    monkeypatch.setenv(THREADS_ENV, "many")
-    with pytest.raises(ValueError):
-        run_sweep(small_job(count=20))
-
-
-def test_thread_env_caps_worker_count(monkeypatch):
-    from cavity_bell.sweeps import _worker_count
-
-    monkeypatch.delenv(THREADS_ENV, raising=False)
-    assert _worker_count(small_job()) == 1
-    assert _worker_count(small_job(workers=4)) == 4
-    monkeypatch.setenv(THREADS_ENV, "2")
-    assert _worker_count(small_job()) == 2
-    assert _worker_count(small_job(workers=8)) == 2  # env is a hard cap
-
-
 def test_manifest_flat_and_complete():
     series = run_sweep(small_job())
     manifest = series_manifest(series)
-    for key in ("schema_version", "seed", "n_max", "tail_bound", "polarization", "xi",
-                "eta", "omega", "g", "gamma2", "tol", "points"):
+    for key in ("schema_version", "n_max", "tail_bound", "polarization", "xi",
+                "eta", "omega", "g", "gamma2", "phi", "tol", "points"):
         assert key in manifest
+    assert manifest["schema_version"] == 2
+    assert "seed" not in manifest
     assert all(not isinstance(v, (dict, list)) for v in manifest.values())
 
 
@@ -160,8 +137,9 @@ def test_run_figure_writes_files_and_manifest(tmp_path):
         assert (tmp_path / (entry["file"][:-4] + ".json")).exists()
         assert entry["panel"] == 1
     top = json.loads((tmp_path / "fig1_manifest.json").read_text())
-    assert top["schema_version"] == 1
+    assert top["schema_version"] == 2
     assert top["notes"]
+    assert "seed" not in top
 
 
 def test_load_job_config(tmp_path):
@@ -178,6 +156,15 @@ def test_load_job_config(tmp_path):
     assert opts["renormalize"] is True
     with pytest.raises(ValueError):
         load_job_config(tmp_path / "absent.ini")
+
+
+@pytest.mark.parametrize("section,key", [("grid", "points"), ("run", "workers"),
+                                         ("run", "seed"), ("plot", "dpi")])
+def test_load_job_config_rejects_unknown_keys(tmp_path, section, key):
+    cfg_file = tmp_path / "job.ini"
+    cfg_file.write_text(f"[state]\nxi = 0.5\n[{section}]\n{key} = 2\n")
+    with pytest.raises(ValueError, match=key):
+        load_job_config(cfg_file)
 
 
 # ---------------------------------------------------------------------------
@@ -230,6 +217,18 @@ def test_cli_sweep_config_overridden_by_flags(tmp_path):
                  "--out", str(out_csv)]) == 0
     with open(out_csv, newline="", encoding="utf-8") as fh:
         assert len(list(csv.DictReader(fh))) == 7
+
+
+def test_cli_sweep_config_errors_and_phase(tmp_path, capsys):
+    ini = tmp_path / "job.ini"
+    ini.write_text("[grid]\npoints = 7\n")
+    assert main(["sweep", "--config", str(ini), "--out", str(tmp_path / "bad.csv")]) == 1
+    assert "'points'" in capsys.readouterr().err
+    assert not (tmp_path / "bad.csv").exists()
+    ini.write_text("[cavity]\ngamma2 = 1\nphi = 0.3\n[grid]\ncount = 5\n")
+    out_csv = tmp_path / "phi.csv"
+    assert main(["sweep", "--config", str(ini), "--out", str(out_csv)]) == 0
+    assert json.loads((tmp_path / "phi.json").read_text())["phi"] == 0.3
 
 
 def test_cli_figure(tmp_path, capsys):
