@@ -17,6 +17,7 @@ from .states import (
     CavityConfig,
     EntangledStateSpec,
     Polarization,
+    density_from_pure,
     make_entangled,
     semiclassical_spectrum,
     split_local_nonlocal,
@@ -143,7 +144,7 @@ def _cmd_state(args) -> int:
         print(f"nonlocal cross term ({i + 1},{j + 1}): {nonlocal_[i, j]:.12g}")
     else:
         print("nonlocal part: zero (product state)")
-    rho = np.outer(amps, amps.conj())
+    rho = density_from_pure(amps)
     print(f"t=0 values: P_chsh_max = {max_chsh(rho):.12g}, concurrence = {concurrence(rho):.12g}")
     return EXIT_OK
 
@@ -212,12 +213,7 @@ def _cmd_sweep(args) -> int:
 def _cmd_figure(args) -> int:
     preset = figure_preset(args.figure, fig1_third_xi=args.fig1_third_xi,
                            fig3_panel2=args.fig3_panel2)
-    panels = None
-    if args.panels:
-        panels = [int(tok) for tok in args.panels.split(",")]
-        bad = [p for p in panels if not 1 <= p <= len(preset.panel_gamma2)]
-        if bad:
-            raise ValueError(f"panel out of range: {bad}")
+    panels = [int(tok) for tok in args.panels.split(",")] if args.panels else None
     manifest = run_figure(preset, args.outdir, start=args.t_start, stop=args.t_end,
                           count=args.points, tol=args.tol, panels=panels)
     print(f"wrote {len(manifest['files'])} series for {args.figure} into {args.outdir}")

@@ -9,20 +9,16 @@ import numpy as np
 from .numerics import (
     NumericalFailure,
     as_complex_matrix,
-    general_eigenvalues_4,
     hermitian_eigensystem,
     hermiticity_defect,
 )
-from .states import EntangledStateSpec, Polarization
-
-SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
-SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-PAULIS = (SIGMA_X, SIGMA_Y, SIGMA_Z)
+from .states import PAULIS, SIGMA_X, SIGMA_Y, SIGMA_Z, EntangledStateSpec, Polarization
 
 TSIRELSON = 2.0 * math.sqrt(2.0)
 
-_SYSY = np.kron(SIGMA_Y, SIGMA_Y)
+#: sigma_i x sigma_j for i, j over (x, y, z), shape (3, 3, 4, 4)
+_PAULI_PAIRS = np.array([[np.kron(si, sj) for sj in PAULIS] for si in PAULIS])
+_SYSY = _PAULI_PAIRS[1, 1]
 _HERM_TOL = 1e-10
 
 
@@ -115,59 +111,31 @@ def chsh_local_value(spec: EntangledStateSpec, q: ChshQuadruple) -> float:
 def correlation_matrix(rho) -> np.ndarray:
     """3x3 real spin-correlation matrix T_ij = Tr[rho (sigma_i x sigma_j)]."""
     arr = _checked_density(rho)
-    t = np.empty((3, 3))
-    for i, si in enumerate(PAULIS):
-        for j, sj in enumerate(PAULIS):
-            t[i, j] = np.trace(np.kron(si, sj) @ arr).real
-    return t
+    return np.einsum("ijab,ba->ij", _PAULI_PAIRS, arr).real
 
 
 def max_chsh(rho) -> float:
-    """Maximum CHSH value 2 sqrt(u1 + u2), with u1, u2 the two largest
-    eigenvalues of T^T T for the spin-correlation matrix T."""
-    t = correlation_matrix(rho)
-    u, _ = hermitian_eigensystem(t.T @ t)
-    m = max(u[-1] + u[-2], 0.0)
-    return 2.0 * math.sqrt(m)
+    """Maximum CHSH value 2 sqrt(u1 + u2), with u1 >= u2 the two largest
+    eigenvalues of T^T T, i.e. the squared two largest singular values of T."""
+    s = np.linalg.svd(correlation_matrix(rho), compute_uv=False)
+    return 2.0 * math.sqrt(s[0] * s[0] + s[1] * s[1])
 
 
 def concurrence(rho) -> float:
-    """Wootters concurrence from the spectrum of rho (sy x sy) rho* (sy x sy).
+    """Wootters concurrence max(0, l1 - l2 - l3 - l4) from a Hermitian factor of rho.
 
-    The spectrum is real and non-negative for a valid density matrix; real
-    parts below -1e-9 indicate a numerical failure.  Eigenvalues within
-    16 eps of zero (relative to the largest) are rounding residue of exact
-    zeros and are clamped before the square root, which would otherwise
-    amplify them to sqrt(eps).
+    With rho = F F^dag, F = V sqrt(w) from rho's own eigensystem, the l_i are
+    the singular values of F^T (sy x sy) F, whose squares are the eigenvalues
+    of rho (sy x sy) rho* (sy x sy).  Eigenvalues of rho below -1e-9 mark an
+    invalid (non-PSD) density; smaller negative rounding residue is set to 0.
     """
     arr = _checked_density(rho)
-    rho_tilde = _SYSY @ arr.conj() @ _SYSY
-    evals = general_eigenvalues_4(arr @ rho_tilde).real
-    if evals.min() < -1e-9:
-        raise NumericalFailure(
-            f"spectrum of rho rho~ has negative eigenvalue {evals.min():.3e}"
-        )
-    floor = 16.0 * np.finfo(float).eps * max(float(evals.max()), 0.0)
-    evals[evals < floor] = 0.0
-    lam = np.sqrt(np.sort(evals)[::-1])
+    w, v = hermitian_eigensystem(arr)
+    if w.min() < -1e-9:
+        raise NumericalFailure(f"density matrix has negative eigenvalue {w.min():.3e}")
+    factor = v * np.sqrt(np.maximum(w, 0.0))
+    lam = np.linalg.svd(factor.T @ _SYSY @ factor, compute_uv=False)
     return max(0.0, float(lam[0] - lam[1] - lam[2] - lam[3]))
-
-
-_AXES = (
-    MeasurementDirection(math.pi / 2, 0.0),
-    MeasurementDirection(math.pi / 2, math.pi / 2),
-    MeasurementDirection(0.0, 0.0),
-)
-
-
-def _numeric_correlation_matrix(rho) -> np.ndarray:
-    # assembled from nine correlation() evaluations along the coordinate axes,
-    # so the brute-force path never touches the eigenvalue criterion
-    t = np.empty((3, 3))
-    for i, ax_i in enumerate(_AXES):
-        for j, ax_j in enumerate(_AXES):
-            t[i, j] = correlation(rho, ax_i, ax_j)
-    return t
 
 
 def _direction_or_fallback(v) -> MeasurementDirection:
@@ -221,7 +189,9 @@ def max_chsh_brute(rho, samples: int = 10_000, refine: int = 3, seed: int = 0) -
     if samples < 1:
         raise ValueError("samples must be >= 1")
     arr = _checked_density(rho)
-    t = _numeric_correlation_matrix(arr)
+    # shares T with max_chsh but not its singular-value step, and returns
+    # chsh_value of an explicit quadruple, so it stays an independent lower bound
+    t = correlation_matrix(arr)
 
     rng = np.random.default_rng(seed)
     bs = rng.normal(size=(samples, 3))

@@ -17,7 +17,6 @@ __all__ = [
     "as_complex_matrix",
     "hermiticity_defect",
     "hermitian_eigensystem",
-    "general_eigenvalues_4",
     "coherent_log_amplitudes",
     "random_density_matrix",
     "DEFAULT_SEED",
@@ -63,15 +62,6 @@ def hermitian_eigensystem(m, tol: float = 1e-9):
     except np.linalg.LinAlgError as exc:
         raise NumericalFailure(f"eigendecomposition failed: {exc}") from exc
     return w, v
-
-
-def general_eigenvalues_4(m) -> np.ndarray:
-    """All four eigenvalues of a general (non-Hermitian) 4x4 complex matrix."""
-    arr = as_complex_matrix(m, shape=(4, 4))
-    try:
-        return np.linalg.eigvals(arr)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailure(f"eigenvalue computation failed: {exc}") from exc
 
 
 def coherent_log_amplitudes(gamma: float, n) -> np.ndarray:

@@ -25,7 +25,14 @@ import numpy as np
 
 from .dynamics import SAFETY_SECTORS, choose_truncation, reduced_densities
 from .numerics import coherent_log_amplitudes, hermitian_eigensystem
-from .states import SPIN_EXCITATIONS, CavityConfig, EntangledStateSpec, make_entangled
+from .states import (
+    J_MINUS,
+    J_PLUS,
+    SPIN_EXCITATIONS,
+    CavityConfig,
+    EntangledStateSpec,
+    make_entangled,
+)
 
 FRAMES = ("corotating", "lab")
 #: extra Fock sectors beyond the closed-form truncation, keeping edge
@@ -34,11 +41,6 @@ ORACLE_SLACK = 8
 #: highest tolerated population in the top two photon sectors; the a^dag
 #: matrix is cut (not wrapped), so leakage is detected instead of corrupted
 EDGE_LIMIT = 1e-10
-
-_SP = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)  # |+><-|
-_I2 = np.eye(2, dtype=complex)
-J_PLUS = np.kron(_SP, _I2) + np.kron(_I2, _SP)
-J_MINUS = J_PLUS.conj().T
 
 
 @dataclass(frozen=True)

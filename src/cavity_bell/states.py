@@ -1,8 +1,10 @@
-"""Two-qubit domain types, entangled-state constructors, and the semiclassical spectrum.
+"""Two-qubit domain types, spin operators, entangled-state constructors, and
+the semiclassical spectrum.
 
 The fixed basis order everywhere in this package is
 (|++>, |+->, |-+>, |-->), so density matrices can be compared entry by
-entry across modules.
+entry across modules.  The Pauli matrices and the collective J+/J- in that
+order are defined here and nowhere else.
 """
 from __future__ import annotations
 
@@ -12,14 +14,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import as_complex_matrix, hermiticity_defect
-
 TWO_PI = 2.0 * math.pi
 
 #: (|++>, |+->, |-+>, |-->) basis labels, used by the CLI for display.
 BASIS_LABELS = ("|++>", "|+->", "|-+>", "|-->")
 #: number of up spins per basis state
 SPIN_EXCITATIONS = np.array([2.0, 1.0, 1.0, 0.0])
+
+SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
+SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
+PAULIS = (SIGMA_X, SIGMA_Y, SIGMA_Z)
+#: collective raising operator sigma+ x 1 + 1 x sigma+, sigma+ = |+><-|
+J_PLUS = np.array([[0, 1, 1, 0], [0, 0, 0, 1], [0, 0, 0, 1], [0, 0, 0, 0]], dtype=complex)
+J_MINUS = J_PLUS.conj().T
 
 
 class Polarization(enum.Enum):
@@ -143,11 +151,7 @@ def semiclassical_hamiltonian(cfg: CavityConfig, gamma: float | None = None) -> 
     alpha = gamma e^{i phi}."""
     if gamma is None:
         gamma = cfg.gamma
-    sp = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)  # |+><-|
-    i2 = np.eye(2, dtype=complex)
-    jp = np.kron(sp, i2) + np.kron(i2, sp)
-    jm = jp.conj().T
-    drive = 1j * gamma * cfg.g * (np.exp(1j * cfg.phi) * jp - np.exp(-1j * cfg.phi) * jm)
+    drive = 1j * gamma * cfg.g * (np.exp(1j * cfg.phi) * J_PLUS - np.exp(-1j * cfg.phi) * J_MINUS)
     return cfg.omega * gamma * gamma * np.eye(4, dtype=complex) + drive
 
 
@@ -195,19 +199,3 @@ def stationary_amplitudes(cfg: CavityConfig) -> list[StationaryPoint]:
     points.append(StationaryPoint(2, 0.0, 0.0, StationaryKind.MINIMUM))
     return points
 
-
-def check_density_matrix(rho, herm_tol: float = 1e-10, psd_tol: float = 1e-9,
-                         trace_tol: float | None = None) -> np.ndarray:
-    """Validate Hermiticity, positivity, and (optionally) unit trace of a 4x4 density matrix."""
-    arr = as_complex_matrix(rho, shape=(4, 4))
-    defect = hermiticity_defect(arr)
-    if defect > herm_tol:
-        raise ValueError(f"density matrix is not Hermitian: defect {defect:.3e}")
-    evals = np.linalg.eigvalsh(0.5 * (arr + arr.conj().T))
-    if evals.min() < -psd_tol:
-        raise ValueError(f"density matrix is not PSD: min eigenvalue {evals.min():.3e}")
-    if trace_tol is not None:
-        deficit = abs(np.trace(arr).real - 1.0)
-        if deficit > trace_tol:
-            raise ValueError(f"density matrix trace deviates from 1 by {deficit:.3e}")
-    return arr

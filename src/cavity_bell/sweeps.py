@@ -226,10 +226,19 @@ def _gamma2_label(g2: float) -> str:
 def run_figure(preset: FigurePreset, outdir, start: float = 0.0, stop: float = 10.0,
                count: int = 400, tol: float = 1e-10, panels=None,
                omega: float = 1.0, g: float = 1.0) -> dict:
-    """Sweep every (panel, curve) of a preset into CSV files plus a manifest."""
+    """Sweep every (panel, curve) of a preset into CSV files plus a manifest.
+
+    ``panels`` selects distinct 1-based panels; an out-of-range or repeated
+    panel is a ValueError.
+    """
+    selected = range(1, len(preset.panel_gamma2) + 1) if panels is None else list(panels)
+    bad = [p for p in selected if not 1 <= p <= len(preset.panel_gamma2)]
+    if bad:
+        raise ValueError(f"panel out of range: {bad}")
+    if len(set(selected)) != len(selected):
+        raise ValueError(f"repeated panel in {selected}")
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    selected = range(1, len(preset.panel_gamma2) + 1) if panels is None else panels
     files = []
     for panel in selected:
         g2 = preset.panel_gamma2[panel - 1]

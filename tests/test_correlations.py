@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.linalg import sqrtm
@@ -19,8 +20,10 @@ from cavity_bell.correlations import (
     sigma_dot,
     spin_coherent_pair,
 )
-from cavity_bell.numerics import random_density_matrix
+from cavity_bell.dynamics import reduced_density
+from cavity_bell.numerics import NumericalFailure, random_density_matrix
 from cavity_bell.states import (
+    CavityConfig,
     EntangledStateSpec,
     Polarization,
     density_from_pure,
@@ -41,6 +44,17 @@ def wootters_reference(rho):
     r = sqrtm(root @ (sysy @ rho.conj() @ sysy) @ root)
     lam = np.sort(np.real(np.linalg.eigvals(r)))[::-1]
     return max(0.0, lam[0] - lam[1] - lam[2] - lam[3])
+
+
+def wootters_mp(rho, dps=40):
+    # 40-digit Wootters spectrum of rho (sy x sy) rho* (sy x sy), float rho promoted exactly
+    with mpmath.workdps(dps):
+        r = mpmath.matrix([[mpmath.mpc(complex(x)) for x in row] for row in rho])
+        rc = mpmath.matrix([[mpmath.conj(r[i, j]) for j in range(4)] for i in range(4)])
+        y = mpmath.matrix([[0, 0, 0, -1], [0, 0, 1, 0], [0, 1, 0, 0], [-1, 0, 0, 0]])
+        ev = mpmath.eig(r * y * rc * y, left=False, right=False)
+        lam = sorted((mpmath.sqrt(max(mpmath.re(e), 0)) for e in ev), reverse=True)
+        return float(max(0, lam[0] - lam[1] - lam[2] - lam[3]))
 
 
 def random_direction(rng):
@@ -205,6 +219,36 @@ def test_concurrence_matches_sqrtm_route(rng):
     for _ in range(60):
         rho = random_density_matrix(rng)
         assert math.isclose(concurrence(rho), wootters_reference(rho), abs_tol=1e-9)
+
+
+# 400-point figure grids at gamma^2 = 0.01, antiparallel (fig1: eta = 0, fig2: xi = pi/4),
+# where the smallest eigenvalue of rho is 6e-11..9e-10
+@pytest.mark.parametrize("xi, eta, index", [
+    (math.pi / 4, math.pi / 6, 127),
+    (math.pi / 4, math.pi / 4, 210),
+    (math.pi / 6, 0.0, 86),
+])
+def test_concurrence_matches_multiprecision_on_figure_grid(xi, eta, index):
+    cfg = CavityConfig.from_mean_photons(0.01)
+    t = np.linspace(0.0, 10.0, 400)[index] * cfg.period
+    rho, _ = reduced_density(EntangledStateSpec(Polarization.ANTIPARALLEL, xi, eta), t, cfg)
+    assert abs(concurrence(rho) - wootters_mp(rho)) < 1e-12
+
+
+def test_concurrence_rejects_negative_density():
+    with pytest.raises(NumericalFailure, match="negative eigenvalue"):
+        concurrence(np.diag([1.5, -0.5, 0.0, 0.0]).astype(complex))
+
+
+def test_correlation_matrix_matches_operator_form(rng):
+    axes = (MeasurementDirection(math.pi / 2, 0.0), MeasurementDirection(math.pi / 2, math.pi / 2),
+            MeasurementDirection(0.0, 0.0))
+    for _ in range(20):
+        rho = random_density_matrix(rng)
+        t = correlation_matrix(rho)
+        for i, a in enumerate(axes):
+            for j, b in enumerate(axes):
+                assert abs(t[i, j] - correlation(rho, a, b)) < 1e-12
 
 
 def test_pure_state_formulas(rng):

@@ -8,9 +8,7 @@ from cavity_bell.numerics import (
     NumericalFailure,
     as_complex_matrix,
     coherent_log_amplitudes,
-    general_eigenvalues_4,
     hermitian_eigensystem,
-    random_density_matrix,
 )
 
 
@@ -56,54 +54,6 @@ def test_hermitian_rejects_nonhermitian():
     m = np.array([[0.0, 1.0], [0.0, 0.0]])
     with pytest.raises(ValueError, match="Hermitian"):
         hermitian_eigensystem(m)
-
-
-def test_general_eigenvalues_diagonal():
-    vals = general_eigenvalues_4(np.diag([4.0, -1.0, 2.5, 0.0]))
-    assert np.allclose(sorted(vals.real), [-1.0, 0.0, 2.5, 4.0])
-    assert np.abs(vals.imag).max() < 1e-14
-
-
-def test_general_eigenvalues_nilpotent():
-    shift = np.diag(np.ones(3), k=1)
-    vals = general_eigenvalues_4(shift)
-    assert np.abs(vals).max() < 1e-10
-
-
-def test_general_eigenvalues_singlet_product():
-    singlet = np.zeros(4, dtype=complex)
-    singlet[1], singlet[2] = 1 / math.sqrt(2), -1 / math.sqrt(2)
-    rho = np.outer(singlet, singlet.conj())
-    # rho~ equals rho for the singlet, so the product has spectrum (1, 0, 0, 0)
-    vals = np.sort(general_eigenvalues_4(rho @ rho).real)[::-1]
-    assert np.allclose(vals, [1.0, 0.0, 0.0, 0.0], atol=1e-12)
-
-
-def test_general_eigenvalues_residual_contract(rng):
-    for _ in range(30):
-        m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        vals = general_eigenvalues_4(m)
-        norm = np.abs(m).max()
-        for lam in vals:
-            res = abs(np.linalg.det(m - lam * np.eye(4)))
-            assert res <= 1e-8 * norm ** 4
-
-
-def test_eigen_routines_agree_on_hermitian(rng):
-    for _ in range(50):
-        rho = random_density_matrix(rng)
-        w, _ = hermitian_eigensystem(rho)
-        vals = np.sort(general_eigenvalues_4(rho).real)
-        assert np.abs(w - vals).max() <= 1e-9
-
-
-def test_psd_classification_consistent(rng):
-    # same positivity verdicts from both eigenvalue routines on 1000 densities
-    for _ in range(1000):
-        rho = random_density_matrix(rng)
-        w, _ = hermitian_eigensystem(rho)
-        vals = general_eigenvalues_4(rho).real
-        assert (w.min() >= -1e-9) == (vals.min() >= -1e-9)
 
 
 def poisson_logweight(n, gamma):

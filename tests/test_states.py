@@ -8,7 +8,6 @@ from cavity_bell.states import (
     EntangledStateSpec,
     Polarization,
     StationaryKind,
-    check_density_matrix,
     density_from_pure,
     make_entangled,
     semiclassical_hamiltonian,
@@ -177,15 +176,3 @@ def test_split_sums_to_pure_density(rng):
         rho = density_from_pure(make_entangled(spec))
         assert np.abs(local + nonlocal_ - rho).max() < 1e-14
 
-
-def test_check_density_matrix():
-    rho = np.diag([0.5, 0.5, 0.0, 0.0]).astype(complex)
-    check_density_matrix(rho, trace_tol=1e-12)
-    skewed = rho.copy()
-    skewed[0, 1] += 1e-8
-    with pytest.raises(ValueError, match="Hermitian"):
-        check_density_matrix(skewed)
-    with pytest.raises(ValueError, match="PSD"):
-        check_density_matrix(np.diag([1.5, -0.5, 0.0, 0.0]).astype(complex))
-    with pytest.raises(ValueError, match="trace"):
-        check_density_matrix(0.5 * rho, trace_tol=1e-12)

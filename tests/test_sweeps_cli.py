@@ -142,6 +142,20 @@ def test_run_figure_writes_files_and_manifest(tmp_path):
     assert "seed" not in top
 
 
+@pytest.mark.parametrize("panel", [0, 5])
+def test_run_figure_rejects_out_of_range_panel(tmp_path, panel):
+    with pytest.raises(ValueError, match="out of range"):
+        run_figure(figure_preset("fig1"), tmp_path, stop=1.0, count=4, panels=[panel])
+    assert not list(tmp_path.iterdir())
+
+
+def test_cli_figure_rejects_repeated_panel(tmp_path, capsys):
+    assert main(["figure", "--figure", "fig1", "--outdir", str(tmp_path),
+                 "--t-end", "1", "--points", "4", "--panels", "1,1"]) == 1
+    assert "repeated panel" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 def test_load_job_config(tmp_path):
     cfg_file = tmp_path / "job.ini"
     cfg_file.write_text(
