@@ -92,7 +92,7 @@ def criterion_2_oracle_equivalence(fast: bool = False):
     if fast:
         gamma2s, xis, etas, points = (0.0, 1.0), (math.pi / 6, 3 * math.pi / 4), (0.0, math.pi / 4), 12
     else:
-        gamma2s = (0.0, 0.5, 1.0, 5.0)
+        gamma2s = (0.0, 0.5, 1.0, 5.0, 15.0, 150.0)
         xis = (math.pi / 6, math.pi / 4, math.pi / 3, 3 * math.pi / 4)
         etas = (0.0, math.pi / 6, math.pi / 4, math.pi / 3)
         points = 50
@@ -108,7 +108,7 @@ def criterion_2_oracle_equivalence(fast: bool = False):
             oracle_rhos, _ = reduced_dynamics(spec, cfg, times)
             closed, _ = reduced_densities(spec, times, cfg, tol=1e-10)
             rhos.extend(closed)
-            devs = np.abs(closed - np.stack(oracle_rhos)).max(axis=(1, 2))
+            devs = np.abs(closed - oracle_rhos).max(axis=(1, 2))
             k = int(np.argmax(devs))
             if devs[k] > worst:
                 worst = float(devs[k])

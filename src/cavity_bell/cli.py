@@ -228,6 +228,8 @@ def _cmd_oracle_check(args) -> int:
         args.gamma2 if args.gamma2 is not None else 0.0,
         omega=args.omega if args.omega is not None else 1.0,
         g=args.g if args.g is not None else 1.0)
+    if args.points < 1:
+        raise ValueError(f"--points must be >= 1, got {args.points}")
     times = np.linspace(0.0, args.t_end * cfg.period, args.points)
     report = compare_closed_form(spec, cfg, times, tol=args.tol, frame=args.frame)
     print(report.summary())

@@ -27,10 +27,11 @@ class NumericalFailure(RuntimeError):
     """A numeric kernel could not meet its accuracy contract."""
 
 
-def as_complex_matrix(m, shape: tuple[int, int] | None = None) -> np.ndarray:
-    """Return ``m`` as a finite complex matrix, rejecting NaN/Inf entries."""
+def as_complex_matrix(m, shape: tuple[int, ...] | None = None) -> np.ndarray:
+    """Return ``m`` as a finite complex matrix, or a stack of them along leading
+    axes, rejecting NaN/Inf entries."""
     arr = np.asarray(m, dtype=complex)
-    if arr.ndim != 2:
+    if arr.ndim < 2:
         raise ValueError(f"expected a matrix, got array of shape {arr.shape}")
     if shape is not None and arr.shape != shape:
         raise ValueError(f"expected shape {shape}, got {arr.shape}")
@@ -39,26 +40,32 @@ def as_complex_matrix(m, shape: tuple[int, int] | None = None) -> np.ndarray:
     return arr
 
 
+def _dagger(m: np.ndarray) -> np.ndarray:
+    return m.conj().swapaxes(-1, -2)
+
+
 def hermiticity_defect(m: np.ndarray) -> float:
-    """Max-norm distance from ``m`` to its conjugate transpose."""
-    return float(np.abs(m - m.conj().T).max())
+    """Max-norm distance from ``m`` to its conjugate transpose (worst member of a stack)."""
+    return float(np.abs(m - _dagger(m)).max())
 
 
 def hermitian_eigensystem(m, tol: float = 1e-9):
     """Eigenvalues (ascending) and orthonormal eigenvectors of a Hermitian matrix.
 
-    The input must satisfy ``max|M - M^dag| <= tol``; the symmetrized matrix
-    is handed to LAPACK so the reconstruction ``V diag(w) V^dag`` matches the
-    input to the same order.
+    ``m`` may also be a stack of shape (..., n, n); the results then carry the
+    same leading axes, one LAPACK call for the whole stack.  Every member must
+    satisfy ``max|M - M^dag| <= tol``; the symmetrized matrix is handed to
+    LAPACK so the reconstruction ``V diag(w) V^dag`` matches the input to the
+    same order.
     """
     arr = as_complex_matrix(m)
-    if arr.shape[0] != arr.shape[1]:
+    if arr.shape[-1] != arr.shape[-2]:
         raise ValueError("matrix is not square")
     defect = hermiticity_defect(arr)
     if defect > tol:
         raise ValueError(f"matrix is not Hermitian: defect {defect:.3e} > {tol:.3e}")
     try:
-        w, v = np.linalg.eigh(0.5 * (arr + arr.conj().T))
+        w, v = np.linalg.eigh(0.5 * (arr + _dagger(arr)))
     except np.linalg.LinAlgError as exc:
         raise NumericalFailure(f"eigendecomposition failed: {exc}") from exc
     return w, v

@@ -56,6 +56,26 @@ def test_hermitian_rejects_nonhermitian():
         hermitian_eigensystem(m)
 
 
+def test_hermitian_stack_matches_per_matrix(rng):
+    a = rng.normal(size=(3, 5, 5)) + 1j * rng.normal(size=(3, 5, 5))
+    stack = a + a.conj().swapaxes(-1, -2)
+    w, v = hermitian_eigensystem(stack)
+    assert w.shape == (3, 5) and v.shape == (3, 5, 5)
+    for k in range(3):
+        wk, _ = hermitian_eigensystem(stack[k])
+        assert np.abs(w[k] - wk).max() <= 1e-12
+        # eigenvectors are fixed only up to phase: compare the reconstruction
+        recon = v[k] @ np.diag(w[k]) @ v[k].conj().T
+        assert np.abs(recon - stack[k]).max() <= 1e-12
+        assert np.abs(v[k].conj().T @ v[k] - np.eye(5)).max() <= 1e-12
+
+
+def test_hermitian_stack_rejects_one_nonhermitian_member():
+    stack = np.stack([np.eye(2), np.array([[0.0, 1.0], [0.0, 0.0]]), np.diag([1.0, 2.0])])
+    with pytest.raises(ValueError, match="Hermitian"):
+        hermitian_eigensystem(stack)
+
+
 def poisson_logweight(n, gamma):
     """log of the Poisson weight e^{-gamma^2} gamma^{2n} / n!."""
     return 2.0 * coherent_log_amplitudes(gamma, n)

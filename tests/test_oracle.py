@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
+from scipy.linalg import expm
 
 from cavity_bell.dynamics import reduced_density
 from cavity_bell.oracle import (
@@ -25,7 +26,13 @@ from cavity_bell.oracle import (
     partial_trace_field,
     reduced_dynamics,
 )
-from cavity_bell.states import CavityConfig, EntangledStateSpec, Polarization, make_entangled
+from cavity_bell.states import (
+    SIGMA_X,
+    CavityConfig,
+    EntangledStateSpec,
+    Polarization,
+    make_entangled,
+)
 from conftest import random_spec
 
 ANTI_QUARTER = EntangledStateSpec(Polarization.ANTIPARALLEL, math.pi / 4, 0.0)
@@ -183,6 +190,56 @@ def test_interaction_picture_consistency():
     direct = evolve(state0, build_hamiltonian(cfg, n_fock), t_end)
     assert np.abs(rotated.amps - direct.amps).max() < 1e-9
     assert np.abs(partial_trace_field(rotated) - partial_trace_field(direct)).max() < 1e-9
+
+
+@pytest.mark.parametrize("generator", [coupling_hamiltonian, build_hamiltonian])
+def test_block_propagator_matches_dense_exponential(generator):
+    # corotating (coupling alone) and lab (bare) frames, against expm of the
+    # dense joint generator
+    cfg = CavityConfig(omega=1.0, g=1.0, gamma=1.1)
+    n_fock = 16
+    h = generator(cfg, n_fock)
+    state = initial_joint(EntangledStateSpec(Polarization.PARALLEL, 0.7, 0.4), cfg, n_fock)
+    prop = Propagator(h)
+    times = np.linspace(0.0, 3 * cfg.period, 6)
+    grid = prop.apply(state.amps, times)
+    assert grid.shape == (times.size, state.amps.size)
+    for t, row in zip(times, grid):
+        exact = expm(-1j * h * t) @ state.amps
+        assert np.abs(prop.apply(state.amps, t) - exact).max() <= 1e-12
+        assert np.abs(row - exact).max() <= 1e-12
+
+
+def test_propagator_refuses_excitation_coupling():
+    # sigma_x on the first spin flips one excitation without a photon
+    cfg = CavityConfig(omega=1.0, g=1.0, gamma=1.0)
+    n_fock = 6
+    flip = np.kron(np.kron(SIGMA_X, np.eye(2)), np.eye(n_fock + 1))
+    h = build_hamiltonian(cfg, n_fock) + flip
+    assert np.abs(h - h.conj().T).max() == 0.0
+    with pytest.raises(ValueError, match="excitation"):
+        Propagator(h)
+
+
+def test_reduced_dynamics_grid_equals_per_time_calls():
+    cfg = CavityConfig.from_mean_photons(5.0)
+    spec = EntangledStateSpec(Polarization.ANTIPARALLEL, 0.4, 1.2)
+    times = np.linspace(0.0, 4 * cfg.period, 9)
+    for frame in ("corotating", "lab"):
+        grid, n_fock = reduced_dynamics(spec, cfg, times, frame=frame)
+        assert grid.shape == (times.size, 4, 4)
+        for t, rho in zip(times, grid):
+            single, _ = reduced_dynamics(spec, cfg, [t], frame=frame, n_fock=n_fock)
+            assert np.abs(single[0] - rho).max() <= 1e-14
+
+
+@pytest.mark.parametrize("times", [[], np.zeros((2, 3)), 1.0])
+def test_oracle_rejects_empty_or_non_1d_grid(times):
+    cfg = CavityConfig.from_mean_photons(1.0)
+    with pytest.raises(ValueError, match="time grid"):
+        compare_closed_form(ANTI_QUARTER, cfg, times)
+    with pytest.raises(ValueError, match="time grid"):
+        reduced_dynamics(ANTI_QUARTER, cfg, times)
 
 
 def _printed_evolution_matrix(cfg, n_fock, t):

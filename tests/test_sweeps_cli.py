@@ -278,3 +278,10 @@ def test_cli_validation_errors(tmp_path, capsys):
 def test_cli_version(capsys):
     assert main(["--version"]) == 0
     assert "cavity-bell" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("points", ["0", "-3"])
+def test_cli_oracle_check_rejects_empty_grid(points, capsys):
+    code = main(["oracle-check", "--gamma2", "1", "--points", points])
+    assert code == 1
+    assert f"--points must be >= 1, got {points}" in capsys.readouterr().err
