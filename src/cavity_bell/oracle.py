@@ -195,12 +195,6 @@ def evolve(state: JointState, hamiltonian: np.ndarray, t) -> JointState:
     return JointState(Propagator(hamiltonian).apply(state.amps, t), state.n_fock)
 
 
-def field_rotation(state: JointState, cfg: CavityConfig, t: float) -> JointState:
-    """Apply R^dag(t): the photon-n amplitude picks up e^{-i omega n t}."""
-    phases = np.exp(-1j * cfg.omega * t * np.arange(state.n_fock + 1))
-    return JointState(state.amps * np.kron(np.ones(4), phases), state.n_fock)
-
-
 def partial_trace_field(state: JointState) -> np.ndarray:
     """4x4 reduced spin density (one per stacked state), summing the
     photon-diagonal blocks."""

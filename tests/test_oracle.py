@@ -18,7 +18,6 @@ from cavity_bell.oracle import (
     edge_population,
     evolve,
     excitation_operator,
-    field_rotation,
     fock_operators,
     initial_joint,
     JointState,
@@ -186,7 +185,9 @@ def test_interaction_picture_consistency():
     sol = solve_ivp(rhs, (0.0, t_end), np.concatenate([state0.amps.real, state0.amps.imag]),
                     method="DOP853", rtol=1e-12, atol=1e-13)
     psi_i = sol.y[:dim, -1] + 1j * sol.y[dim:, -1]
-    rotated = field_rotation(JointState(psi_i, n_fock), cfg, t_end)
+    # R^dag(t): the photon-n amplitude picks up e^{-i omega n t}
+    free_phases = np.exp(-1j * cfg.omega * t_end * np.arange(n_fock + 1))
+    rotated = JointState(psi_i * np.tile(free_phases, 4), n_fock)
     direct = evolve(state0, build_hamiltonian(cfg, n_fock), t_end)
     assert np.abs(rotated.amps - direct.amps).max() < 1e-9
     assert np.abs(partial_trace_field(rotated) - partial_trace_field(direct)).max() < 1e-9
