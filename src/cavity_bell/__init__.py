@@ -46,14 +46,11 @@ from .dynamics import (  # noqa: F401
 )
 from .oracle import (  # noqa: F401
     ComparisonReport,
-    JointState,
     Propagator,
     build_hamiltonian,
     compare_closed_form,
     coupling_hamiltonian,
-    evolve,
     initial_joint,
-    partial_trace_field,
     reduced_dynamics,
 )
 from .sweeps import (  # noqa: F401

@@ -48,8 +48,18 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_VALIDATION)
 
 
-def _angle(value: float, degrees: bool) -> float:
-    return math.radians(value) if degrees else value
+def _spec(values: dict, degrees: bool) -> EntangledStateSpec:
+    """State spec from the user-given polarization/xi/eta in ``values`` (None or
+    absent means default); --degrees converts only given angles, never the
+    radian defaults xi = pi/4, eta = 0."""
+    def angle(key, default):
+        value = values.get(key)
+        if value is None:
+            return default
+        return math.radians(value) if degrees else value
+
+    return EntangledStateSpec(Polarization(values.get("polarization") or "antiparallel"),
+                              angle("xi", math.pi / 4), angle("eta", 0.0))
 
 
 def _add_state_args(p, with_gamma=True):
@@ -58,7 +68,7 @@ def _add_state_args(p, with_gamma=True):
     p.add_argument("--xi", type=float, default=None, help="mixing angle xi")
     p.add_argument("--eta", type=float, default=None, help="relative phase angle eta")
     p.add_argument("--degrees", action="store_true",
-                   help="interpret xi/eta (and theta/phi) in degrees")
+                   help="interpret the given xi/eta in degrees")
     p.add_argument("--omega", type=float, default=None, help="field frequency (default 1)")
     p.add_argument("--g", type=float, default=None, help="coupling in units of omega (default 1)")
     if with_gamma:
@@ -123,15 +133,8 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _spec_from_args(args) -> EntangledStateSpec:
-    pol = Polarization(args.polarization or "antiparallel")
-    xi = _angle(args.xi if args.xi is not None else math.pi / 4, args.degrees)
-    eta = _angle(args.eta if args.eta is not None else 0.0, args.degrees)
-    return EntangledStateSpec(pol, xi, eta)
-
-
 def _cmd_state(args) -> int:
-    spec = _spec_from_args(args)
+    spec = _spec(vars(args), args.degrees)
     amps = make_entangled(spec)
     print(f"polarization = {spec.polarization.value}, xi = {spec.xi:.12g}, eta = {spec.eta:.12g}")
     for label, amp in zip(BASIS_LABELS, amps):
@@ -181,11 +184,7 @@ def _merge_sweep_options(args) -> dict:
 
 def _cmd_sweep(args) -> int:
     opts = _merge_sweep_options(args)
-    spec = EntangledStateSpec(
-        Polarization(opts.get("polarization", "antiparallel")),
-        _angle(opts.get("xi", math.pi / 4), args.degrees),
-        _angle(opts.get("eta", 0.0), args.degrees),
-    )
+    spec = _spec(opts, args.degrees)
     cfg = CavityConfig.from_mean_photons(
         opts.get("gamma2", 0.0),
         omega=opts.get("omega", 1.0), g=opts.get("g", 1.0), phi=opts.get("phi", 0.0),
@@ -223,7 +222,7 @@ def _cmd_figure(args) -> int:
 
 
 def _cmd_oracle_check(args) -> int:
-    spec = _spec_from_args(args)
+    spec = _spec(vars(args), args.degrees)
     cfg = CavityConfig.from_mean_photons(
         args.gamma2 if args.gamma2 is not None else 0.0,
         omega=args.omega if args.omega is not None else 1.0,

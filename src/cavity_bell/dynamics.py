@@ -159,14 +159,7 @@ def reduced_densities(spec: EntangledStateSpec, times, cfg: CavityConfig,
 
 
 def reduced_density(spec: EntangledStateSpec, t: float, cfg: CavityConfig,
-                    tol: float = 1e-10, renormalize: bool = False
-                    ) -> tuple[np.ndarray, FockTruncation]:
-    """Reduced spin density at one time; see reduced_densities.
-
-    ``renormalize`` rescales the result to unit trace.
-    """
+                    tol: float = 1e-10) -> tuple[np.ndarray, FockTruncation]:
+    """Reduced spin density at one time; see reduced_densities."""
     rhos, trunc = reduced_densities(spec, [t], cfg, tol)
-    rho = rhos[0]
-    if renormalize:
-        rho = rho / np.trace(rho).real
-    return rho, trunc
+    return rhos[0], trunc

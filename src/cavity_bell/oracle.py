@@ -56,31 +56,6 @@ ORACLE_SLACK = 8
 EDGE_LIMIT = 1e-10
 
 
-@dataclass(frozen=True)
-class JointState:
-    """Pure joint state, amplitudes ordered (spin basis index, photon number).
-
-    ``amps`` may carry leading axes (one state per grid time); the helpers
-    below then act on every state of the stack.
-    """
-
-    amps: np.ndarray
-    n_fock: int
-
-    def __post_init__(self):
-        if self.amps.shape[-1:] != (4 * (self.n_fock + 1),):
-            raise ValueError("amplitude vector does not match 4*(n_fock+1)")
-
-    @property
-    def norm(self):
-        return np.linalg.norm(self.amps, axis=-1)
-
-    @property
-    def spin_photon(self) -> np.ndarray:
-        """Amplitudes reshaped to (..., spin index, photon number)."""
-        return self.amps.reshape(*self.amps.shape[:-1], 4, self.n_fock + 1)
-
-
 def fock_operators(n_fock: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(a, a^dag, a^dag a) on the truncated Fock space; a^dag is cut at the edge."""
     n = np.arange(n_fock + 1, dtype=float)
@@ -102,11 +77,10 @@ def build_hamiltonian(cfg: CavityConfig, n_fock: int) -> np.ndarray:
     return cfg.omega * np.kron(np.eye(4, dtype=complex), number) + coupling_hamiltonian(cfg, n_fock)
 
 
-def excitation_operator(n_fock: int) -> np.ndarray:
-    """Conserved total excitation a^dag a + (number of up spins)."""
-    _, _, number = fock_operators(n_fock)
-    return (np.kron(np.eye(4, dtype=complex), number)
-            + np.kron(np.diag(SPIN_EXCITATIONS).astype(complex), np.eye(n_fock + 1)))
+def excitation_numbers(n_fock: int) -> np.ndarray:
+    """Conserved total excitation a^dag a + (number of up spins) of each joint
+    index, in amplitude order (spin index, photon number)."""
+    return np.add.outer(SPIN_EXCITATIONS, np.arange(n_fock + 1)).ravel()
 
 
 def coherent_amplitudes(gamma: float, phi: float, n_fock: int) -> np.ndarray:
@@ -115,29 +89,21 @@ def coherent_amplitudes(gamma: float, phi: float, n_fock: int) -> np.ndarray:
     return np.exp(coherent_log_amplitudes(gamma, n)) * np.exp(1j * phi * n)
 
 
-def joint_from_spin(spin_amps, cfg: CavityConfig, n_fock: int) -> JointState:
-    """Product of an arbitrary normalized spin state with the truncated coherent state."""
-    spin = np.asarray(spin_amps, dtype=complex)
-    if spin.shape != (4,):
-        raise ValueError("spin state must have 4 amplitudes")
+class TruncationTooSmall(RuntimeError):
+    """The requested Fock truncation cannot hold the initial coherent state."""
+
+
+def initial_joint(spec: EntangledStateSpec, cfg: CavityConfig, n_fock: int) -> np.ndarray:
+    """Entangled spin state times the truncated coherent field state, renormalized;
+    flat amplitudes ordered (spin index, photon number)."""
     fieldamps = coherent_amplitudes(cfg.gamma, cfg.phi, n_fock)
     deficit = 1.0 - float(np.vdot(fieldamps, fieldamps).real)
     if deficit > 1e-12:
         raise TruncationTooSmall(
             f"coherent tail beyond n_fock={n_fock} is {deficit:.3e} > 1e-12"
         )
-    amps = np.kron(spin, fieldamps)
-    amps = amps / np.linalg.norm(amps)
-    return JointState(amps, n_fock)
-
-
-class TruncationTooSmall(RuntimeError):
-    """The requested Fock truncation cannot hold the initial coherent state."""
-
-
-def initial_joint(spec: EntangledStateSpec, cfg: CavityConfig, n_fock: int) -> JointState:
-    """Entangled spin state times the truncated coherent field state, renormalized."""
-    return joint_from_spin(make_entangled(spec), cfg, n_fock)
+    amps = np.kron(make_entangled(spec), fieldamps)
+    return amps / np.linalg.norm(amps)
 
 
 @dataclass
@@ -166,7 +132,7 @@ class Propagator:
             raise ValueError(f"expected a 4*(n_fock+1) square joint Hamiltonian with "
                              f"n_fock >= 1, got shape {h.shape}")
         n_fock = dim // 4 - 1
-        excitation = np.add.outer(SPIN_EXCITATIONS, np.arange(n_fock + 1)).ravel()
+        excitation = excitation_numbers(n_fock)
         cross = np.argwhere((h != 0) & (excitation[:, None] != excitation))
         if cross.size:
             i, j = cross[0]
@@ -190,23 +156,6 @@ class Propagator:
         return out
 
 
-def evolve(state: JointState, hamiltonian: np.ndarray, t) -> JointState:
-    """One-shot exp(-iHt)|psi>, a stack of states for a time grid."""
-    return JointState(Propagator(hamiltonian).apply(state.amps, t), state.n_fock)
-
-
-def partial_trace_field(state: JointState) -> np.ndarray:
-    """4x4 reduced spin density (one per stacked state), summing the
-    photon-diagonal blocks."""
-    a = state.spin_photon
-    return a @ a.conj().swapaxes(-1, -2)
-
-
-def edge_population(state: JointState, sectors: int = 2):
-    """Probability weight sitting in the top ``sectors`` photon sectors."""
-    return np.sum(np.abs(state.spin_photon[..., -sectors:]) ** 2, axis=(-2, -1))
-
-
 def default_n_fock(cfg: CavityConfig, closed_tol: float = 1e-10) -> int:
     """Fock cap covering both the coherent tail (1e-12) and the sector sum."""
     coherent_need = choose_truncation(cfg.gamma, 1e-12).n_max
@@ -217,8 +166,8 @@ def default_n_fock(cfg: CavityConfig, closed_tol: float = 1e-10) -> int:
 def reduced_dynamics(spec: EntangledStateSpec, cfg: CavityConfig, times,
                      frame: str = "corotating", n_fock: int | None = None
                      ) -> tuple[np.ndarray, int]:
-    """Reduced spin densities, shape (len(times), 4, 4), by exact joint-space
-    evolution over the whole grid at once."""
+    """Reduced spin densities A A^dag, shape (len(times), 4, 4), by exact
+    joint-space evolution over the whole grid at once."""
     if frame not in FRAMES:
         raise ValueError(f"frame must be one of {FRAMES}")
     times = np.asarray(times, dtype=float)
@@ -227,11 +176,12 @@ def reduced_dynamics(spec: EntangledStateSpec, cfg: CavityConfig, times,
                          f"got shape {times.shape}")
     if n_fock is None:
         n_fock = default_n_fock(cfg)
-    state0 = initial_joint(spec, cfg, n_fock)
+    psi0 = initial_joint(spec, cfg, n_fock)
     generator = (coupling_hamiltonian(cfg, n_fock) if frame == "corotating"
                  else build_hamiltonian(cfg, n_fock))
-    evolved = JointState(Propagator(generator).apply(state0.amps, times), n_fock)
-    leaks = edge_population(evolved)
+    # amplitude matrices A(t), shape (t, spin index, photon number)
+    amps = Propagator(generator).apply(psi0, times).reshape(times.size, 4, n_fock + 1)
+    leaks = np.sum(np.abs(amps[..., -2:]) ** 2, axis=(-2, -1))
     over = np.flatnonzero(leaks > EDGE_LIMIT)
     if over.size:
         k = over[0]
@@ -239,8 +189,9 @@ def reduced_dynamics(spec: EntangledStateSpec, cfg: CavityConfig, times,
             f"population {leaks[k]:.3e} in the top two photon sectors at t={times[k]:g} "
             f"(n_fock={n_fock}); enlarge the truncation"
         )
-    # the corotating frame's R^dag(t) is photon-diagonal and cancels in the trace
-    return partial_trace_field(evolved), n_fock
+    # tracing out the field sums the photon-diagonal blocks; the corotating
+    # frame's R^dag(t) is photon-diagonal and cancels there
+    return amps @ amps.conj().swapaxes(-1, -2), n_fock
 
 
 @dataclass

@@ -245,12 +245,6 @@ def test_reduced_density_trace_and_positivity(rng):
         assert np.linalg.eigvalsh(rho).min() >= -1e-9
 
 
-def test_reduced_density_renormalize():
-    cfg = CavityConfig.from_mean_photons(5.0)
-    rho, _ = reduced_density(ANTI_QUARTER, 2.0, cfg, tol=1e-6, renormalize=True)
-    assert math.isclose(np.trace(rho).real, 1.0, abs_tol=1e-14)
-
-
 def test_reduced_density_rejects_bad_inputs():
     with pytest.raises(ValueError):
         reduced_density(ANTI_QUARTER, 1.0, CavityConfig(gamma=1.0), tol=1e-2)

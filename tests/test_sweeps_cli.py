@@ -5,7 +5,9 @@ import math
 import numpy as np
 import pytest
 
+from cavity_bell import cli
 from cavity_bell.cli import main
+from cavity_bell.dynamics import reduced_densities
 from cavity_bell.states import CavityConfig, EntangledStateSpec, Polarization
 from cavity_bell.sweeps import (
     CSV_HEADER,
@@ -103,6 +105,20 @@ def test_rho_csv(tmp_path):
     assert math.isclose(float(rows[0]["re_22"]), 0.5, abs_tol=1e-12)
     with pytest.raises(ValueError):
         write_rho_csv(run_sweep(small_job()), tmp_path / "missing.csv")
+
+
+def test_sweep_renormalize_keeps_trace_deficit():
+    cfg = CavityConfig.from_mean_photons(5.0)
+    job = SweepJob(ANTI_QUARTER, cfg, start=0.0, stop=2.0, count=9, tol=1e-6,
+                   outputs=("p_chsh_max", "concurrence", "trace_deficit", "rho_elements"),
+                   renormalize=True)
+    series = run_sweep(job)
+    assert np.abs(np.trace(series.rho, axis1=1, axis2=2).real - 1.0).max() <= 1e-14
+    # the deficit column reports the trace before the rescale
+    raw, _ = reduced_densities(ANTI_QUARTER, series.times_over_T * cfg.period, cfg, tol=1e-6)
+    deficit = 1.0 - np.trace(raw, axis1=1, axis2=2).real
+    assert deficit.max() > 1e-9
+    assert np.abs(series.trace_deficit - deficit).max() <= 1e-14
 
 
 def test_figure_presets():
@@ -204,6 +220,28 @@ def test_cli_state(capsys):
     out = capsys.readouterr().out
     assert "P_chsh_max = 2.82842712" in out
     assert "concurrence = 1" in out
+
+
+def test_cli_degrees_converts_only_given_angles(tmp_path, capsys, monkeypatch):
+    # the default xi = pi/4 is already in radians, with or without --degrees
+    assert main(["state", "--degrees"]) == 0
+    assert "xi = 0.785398163397, eta = 0\n" in capsys.readouterr().out
+    assert main(["sweep", "--degrees", "--eta", "90", "--t-end", "1", "--points", "4",
+                 "--out", str(tmp_path / "flag.csv")]) == 0
+    manifest = json.loads((tmp_path / "flag.json").read_text())
+    assert (manifest["xi"], manifest["eta"]) == (math.pi / 4, math.pi / 2)
+    ini = tmp_path / "job.ini"
+    ini.write_text("[state]\neta = 30\n")
+    assert main(["sweep", "--degrees", "--config", str(ini), "--t-end", "1", "--points", "4",
+                 "--out", str(tmp_path / "ini.csv")]) == 0
+    manifest = json.loads((tmp_path / "ini.json").read_text())
+    assert (manifest["xi"], manifest["eta"]) == (math.pi / 4, math.radians(30))
+    seen = []
+    real_compare = cli.compare_closed_form
+    monkeypatch.setattr(cli, "compare_closed_form",
+                        lambda spec, *a, **kw: seen.append(spec) or real_compare(spec, *a, **kw))
+    assert main(["oracle-check", "--degrees", "--t-end", "1", "--points", "3"]) == 0
+    assert (seen[0].xi, seen[0].eta) == (math.pi / 4, 0.0)
 
 
 def test_cli_sweep_roundtrip(tmp_path, capsys):
