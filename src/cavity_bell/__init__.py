@@ -17,7 +17,6 @@ from .states import (  # noqa: F401
     StationaryPoint,
     density_from_pure,
     make_entangled,
-    semiclassical_hamiltonian,
     semiclassical_spectrum,
     split_local_nonlocal,
     stationary_amplitudes,
@@ -31,10 +30,8 @@ from .correlations import (  # noqa: F401
     concurrence,
     correlation,
     correlation_matrix,
-    local_correlation,
     max_chsh,
     max_chsh_brute,
-    spin_coherent_pair,
 )
 from .dynamics import (  # noqa: F401
     FockTruncation,

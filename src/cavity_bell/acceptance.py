@@ -131,11 +131,9 @@ def criterion_3_bounds(collected_rhos, fast: bool = False):
 
     def body():
         rng = np.random.default_rng(DEFAULT_SEED)
-        worst = 0.0
-        for rho in collected_rhos:
-            worst = max(worst, max_chsh(rho))
-        for _ in range(n_random_rho):
-            worst = max(worst, max_chsh(random_density_matrix(rng)))
+        randoms = np.array([random_density_matrix(rng) for _ in range(n_random_rho)])
+        worst = max(float(max_chsh(np.array(collected_rhos)).max()),
+                    float(max_chsh(randoms).max()))
         worst_local = 0.0
         spec_a = EntangledStateSpec(Polarization.ANTIPARALLEL, 0.3, 0.0)
         spec_p = EntangledStateSpec(Polarization.PARALLEL, 0.3, 0.0)
@@ -252,21 +250,18 @@ def criterion_8_brute_agreement(fast: bool = False):
 
     def body():
         rng = np.random.default_rng(DEFAULT_SEED + 8)
-        worst = 0.0
-        for _ in range(n_random):
-            rho = random_density_matrix(rng)
-            worst = max(worst, abs(max_chsh(rho) - max_chsh_brute(rho, seed=DEFAULT_SEED)))
+        rhos = [random_density_matrix(rng) for _ in range(n_random)]
         taus = np.linspace(0.0, 10.0, n_times)
         for figure in figures:
             preset = figure_preset(figure)
-            for panel, g2 in enumerate(preset.panel_gamma2, start=1):
-                for label, xi, eta in preset.curves:
+            for g2 in preset.panel_gamma2:
+                cfg = CavityConfig.from_mean_photons(g2)
+                for _, xi, eta in preset.curves:
                     spec = EntangledStateSpec(preset.polarization, xi, eta)
-                    cfg = CavityConfig.from_mean_photons(g2)
-                    rhos, _ = reduced_densities(spec, taus * cfg.period, cfg)
-                    for rho in rhos:
-                        worst = max(worst, abs(max_chsh(rho) - max_chsh_brute(rho, seed=DEFAULT_SEED)))
-        return worst
+                    rhos.extend(reduced_densities(spec, taus * cfg.period, cfg)[0])
+        # one stacked call of each: the search's fixed cost is paid once, not per density
+        rhos = np.array(rhos)
+        return float(np.abs(max_chsh(rhos) - max_chsh_brute(rhos, seed=DEFAULT_SEED)).max())
 
     worst, secs = _timed(body)
     passed = worst <= 1e-3

@@ -9,7 +9,7 @@ import numpy as np
 
 from . import __version__
 from .correlations import concurrence, max_chsh
-from .dynamics import TruncationError, reduced_density
+from .dynamics import TruncationError
 from .numerics import NumericalFailure
 from .oracle import FRAMES, TruncationTooSmall, compare_closed_form
 from .states import (

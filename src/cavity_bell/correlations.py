@@ -12,7 +12,7 @@ from .numerics import (
     hermitian_eigensystem,
     hermiticity_defect,
 )
-from .states import PAULIS, SIGMA_X, SIGMA_Y, SIGMA_Z, EntangledStateSpec, Polarization
+from .states import PAULIS, SIGMA_X, SIGMA_Y, SIGMA_Z, EntangledStateSpec
 
 TSIRELSON = 2.0 * math.sqrt(2.0)
 
@@ -58,17 +58,14 @@ def sigma_dot(n: MeasurementDirection) -> np.ndarray:
     return x * SIGMA_X + y * SIGMA_Y + z * SIGMA_Z
 
 
-def spin_coherent_pair(n: MeasurementDirection) -> tuple[np.ndarray, np.ndarray]:
-    """The +1 and -1 eigenvectors of sigma.n (north- and south-pole gauge)."""
-    half = 0.5 * n.theta
-    phase = np.exp(1j * n.phi_az)
-    plus = np.array([math.cos(half), math.sin(half) * phase])
-    minus = np.array([math.sin(half), -math.cos(half) * phase])
-    return plus, minus
-
-
-def _checked_density(rho) -> np.ndarray:
-    arr = as_complex_matrix(rho, shape=(4, 4))
+def _checked_density(rho, stack: bool = False) -> np.ndarray:
+    """``rho`` as a complex 4x4 density, or with ``stack`` a (..., 4, 4) stack of them;
+    every member must be Hermitian to 1e-10."""
+    arr = as_complex_matrix(rho, shape=None if stack else (4, 4))
+    if arr.shape[-2:] != (4, 4):
+        raise ValueError(f"expected shape (..., 4, 4), got {arr.shape}")
+    if arr.size == 0:
+        raise ValueError(f"empty stack of density matrices, shape {arr.shape}")
     defect = hermiticity_defect(arr)
     if defect > _HERM_TOL:
         raise ValueError(f"density matrix is not Hermitian: defect {defect:.3e}")
@@ -84,14 +81,6 @@ def correlation(rho, a: MeasurementDirection, b: MeasurementDirection) -> float:
     return float(val.real)
 
 
-def local_correlation(spec: EntangledStateSpec, a: MeasurementDirection,
-                      b: MeasurementDirection) -> float:
-    """Correlation carried by the diagonal (classical-probability) part alone:
-    -cos(theta_a) cos(theta_b) for antiparallel states, + for parallel."""
-    sign = -1.0 if spec.polarization is Polarization.ANTIPARALLEL else 1.0
-    return sign * math.cos(a.theta) * math.cos(b.theta)
-
-
 def chsh_value(rho, q: ChshQuadruple) -> float:
     """|P(a,b) + P(a,c) + P(d,b) - P(d,c)| for the four measurement directions."""
     return abs(
@@ -103,22 +92,29 @@ def chsh_value(rho, q: ChshQuadruple) -> float:
 
 
 def chsh_local_value(spec: EntangledStateSpec, q: ChshQuadruple) -> float:
-    """Four-direction combination of the local correlations; analytically <= 2."""
+    """CHSH combination of the correlations -+cos(theta_a) cos(theta_b) that the
+    diagonal (classical-probability) part of ``spec`` carries; analytically <= 2."""
     ca, cb, cc, cd = (math.cos(n.theta) for n in (q.a, q.b, q.c, q.d))
     return abs(ca * (cb + cc) + cd * (cb - cc))
 
 
 def correlation_matrix(rho) -> np.ndarray:
-    """3x3 real spin-correlation matrix T_ij = Tr[rho (sigma_i x sigma_j)]."""
-    arr = _checked_density(rho)
-    return np.einsum("ijab,ba->ij", _PAULI_PAIRS, arr).real
+    """3x3 real spin-correlation matrix T_ij = Tr[rho (sigma_i x sigma_j)];
+    a (..., 4, 4) stack gives a (..., 3, 3) stack."""
+    arr = _checked_density(rho, stack=True)
+    return np.einsum("ijab,...ba->...ij", _PAULI_PAIRS, arr).real
 
 
-def max_chsh(rho) -> float:
+def max_chsh(rho):
     """Maximum CHSH value 2 sqrt(u1 + u2), with u1 >= u2 the two largest
-    eigenvalues of T^T T, i.e. the squared two largest singular values of T."""
+    eigenvalues of T^T T, i.e. the squared two largest singular values of T.
+
+    A 4x4 density gives a float; a (..., 4, 4) stack gives an array of shape
+    ``rho.shape[:-2]``, one batched ``svd`` for the whole stack.
+    """
     s = np.linalg.svd(correlation_matrix(rho), compute_uv=False)
-    return 2.0 * math.sqrt(s[0] * s[0] + s[1] * s[1])
+    p = 2.0 * np.sqrt(s[..., 0] * s[..., 0] + s[..., 1] * s[..., 1])
+    return float(p) if p.ndim == 0 else p
 
 
 def concurrence(rho) -> float:
@@ -154,79 +150,96 @@ def _complete_quadruple(t: np.ndarray, b: np.ndarray, c: np.ndarray) -> ChshQuad
     )
 
 
-def _angles_to_vec(theta: float, phi: float) -> np.ndarray:
-    st = math.sin(theta)
-    return np.array([st * math.cos(phi), st * math.sin(phi), math.cos(theta)])
+def _angles_to_vec(theta, phi) -> np.ndarray:
+    """Unit vectors from polar angles ``theta`` and azimuths ``phi``; the three
+    components run along the first axis, so arrays of n angles give (3, n)."""
+    st = np.sin(theta)
+    return np.array([st * np.cos(phi), st * np.sin(phi), np.cos(theta)])
+
+
+def _norms(v: np.ndarray) -> np.ndarray:
+    """Euclidean norms of the columns of a (3, n) array."""
+    sq = v * v
+    return np.sqrt(sq[0] + sq[1] + sq[2])
 
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def _golden_max(f, lo: float, hi: float, iters: int = 40) -> float:
+def _golden_search(f, lo: np.ndarray, hi: np.ndarray, iters: int = 40) -> np.ndarray:
+    """Golden-section maximisers of ``f`` on the brackets [lo, hi], one per entry;
+    ``f`` maps an array of abscissae to the matching objective values."""
     x1 = hi - _GOLDEN * (hi - lo)
     x2 = lo + _GOLDEN * (hi - lo)
     f1, f2 = f(x1), f(x2)
     for _ in range(iters):
-        if f1 < f2:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + _GOLDEN * (hi - lo)
-            f2 = f(x2)
-        else:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - _GOLDEN * (hi - lo)
-            f1 = f(x1)
+        # where f1 < f2 keep [x1, hi] and probe above x2, else keep [lo, x2] and probe below x1
+        up = f1 < f2
+        lo = np.where(up, x1, lo)
+        hi = np.where(up, hi, x2)
+        gap = _GOLDEN * (hi - lo)
+        xn = np.where(up, lo + gap, hi - gap)
+        x1, x2 = np.where(up, x2, xn), np.where(up, xn, x1)
+        fn = f(xn)
+        f1, f2 = np.where(up, f2, fn), np.where(up, fn, f1)
     return 0.5 * (lo + hi)
 
 
-def max_chsh_brute(rho, samples: int = 10_000, refine: int = 3, seed: int = 0) -> float:
+def max_chsh_brute(rho, samples: int = 10_000, refine: int = 3, seed: int = 0):
     """Lower bound on max_chsh by direct maximization over measurement quadruples.
 
     Draws ``samples`` uniform (b, c) pairs, completes each to an optimal
     quadruple, then refines the best candidate with ``refine`` sweeps of
     coordinate-wise golden-section search over the four angles of (b, c).
-    Deterministic for a fixed seed.
+    Deterministic for a fixed seed.  A (..., 4, 4) stack gives an array of
+    shape ``rho.shape[:-2]``: every member is scored against the same seeded
+    candidates and the refinement runs on the whole stack at once, so each
+    value equals the single-density call on that member up to rounding.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    arr = _checked_density(rho)
+    if refine < 0:
+        raise ValueError("refine must be >= 0")
+    arr = _checked_density(rho, stack=True)
+    dens = arr.reshape(-1, 4, 4)
     # shares T with max_chsh but not its singular-value step, and returns
     # chsh_value of an explicit quadruple, so it stays an independent lower bound
-    t = correlation_matrix(arr)
+    t = correlation_matrix(dens)
 
     rng = np.random.default_rng(seed)
     bs = rng.normal(size=(samples, 3))
     cs = rng.normal(size=(samples, 3))
     bs /= np.linalg.norm(bs, axis=1, keepdims=True)
     cs /= np.linalg.norm(cs, axis=1, keepdims=True)
-    vals = (np.linalg.norm((bs + cs) @ t.T, axis=1)
-            + np.linalg.norm((bs - cs) @ t.T, axis=1))
-    best = int(np.argmax(vals))
-    tb = math.acos(max(-1.0, min(1.0, bs[best, 2])))
-    pb = math.atan2(bs[best, 1], bs[best, 0])
-    tc = math.acos(max(-1.0, min(1.0, cs[best, 2])))
-    pc = math.atan2(cs[best, 1], cs[best, 0])
+    # scored one density at a time, so no (samples, m) array is ever held
+    plus, minus = (bs + cs).T.copy(), (bs - cs).T.copy()
+    best = np.array([np.argmax(_norms(tk @ plus) + _norms(tk @ minus)) for tk in t])
+    b0, c0 = bs[best].T, cs[best].T
+    angles = np.array([np.arccos(np.clip(b0[2], -1.0, 1.0)), np.arctan2(b0[1], b0[0]),
+                       np.arccos(np.clip(c0[2], -1.0, 1.0)), np.arctan2(c0[1], c0[0])])
 
-    def objective(ang):
-        b = _angles_to_vec(ang[0], ang[1])
-        c = _angles_to_vec(ang[2], ang[3])
-        return (np.linalg.norm(t @ (b + c)) + np.linalg.norm(t @ (b - c)))
+    def t_times(theta, phi):
+        return np.einsum("mij,jm->im", t, _angles_to_vec(theta, phi))
 
-    angles = [tb, pb, tc, pc]
-    spans = [math.pi, 2.0 * math.pi, math.pi, 2.0 * math.pi]
+    spans = (math.pi, 2.0 * math.pi, math.pi, 2.0 * math.pi)
     for sweep in range(refine):
         width = 0.5 ** sweep
         for k in range(4):
-            lo = angles[k] - 0.5 * width * spans[k]
-            hi = angles[k] + 0.5 * width * spans[k]
+            # angle k moves b (k < 2) or c; |T(b+c)| + |T(b-c)| is symmetric in b, c
+            j = k - k % 2
+            fixed = t_times(angles[2 - j], angles[3 - j])
 
-            def line(x, k=k):
-                trial = list(angles)
-                trial[k] = x
-                return objective(trial)
+            def line(x):
+                pair = [angles[j], angles[j + 1]]
+                pair[k - j] = x
+                moving = t_times(*pair)
+                return _norms(moving + fixed) + _norms(moving - fixed)
 
-            angles[k] = _golden_max(line, lo, hi)
+            half = 0.5 * width * spans[k]
+            angles[k] = _golden_search(line, angles[k] - half, angles[k] + half)
 
-    quad = _complete_quadruple(
-        t, _angles_to_vec(angles[0], angles[1]), _angles_to_vec(angles[2], angles[3])
-    )
-    return chsh_value(arr, quad)
+    bv = _angles_to_vec(angles[0], angles[1]).T
+    cv = _angles_to_vec(angles[2], angles[3]).T
+    vals = np.array([chsh_value(d, _complete_quadruple(tk, b, c))
+                     for d, tk, b, c in zip(dens, t, bv, cv)])
+    return float(vals[0]) if arr.ndim == 2 else vals.reshape(arr.shape[:-2])

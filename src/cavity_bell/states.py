@@ -146,21 +146,14 @@ def split_local_nonlocal(spec: EntangledStateSpec) -> tuple[np.ndarray, np.ndarr
     return local, nonlocal_
 
 
-def semiclassical_hamiltonian(cfg: CavityConfig, gamma: float | None = None) -> np.ndarray:
-    """4x4 effective spin Hamiltonian after averaging the field over |alpha>,
-    alpha = gamma e^{i phi}."""
-    if gamma is None:
-        gamma = cfg.gamma
-    drive = 1j * gamma * cfg.g * (np.exp(1j * cfg.phi) * J_PLUS - np.exp(-1j * cfg.phi) * J_MINUS)
-    return cfg.omega * gamma * gamma * np.eye(4, dtype=complex) + drive
-
-
 def semiclassical_spectrum(cfg: CavityConfig, gamma: float | None = None) -> list[SemiclassicalLevel]:
     """The four semiclassical levels at coherent amplitude gamma.
 
     Energies are omega gamma^2 - 2 g gamma, omega gamma^2 (twice, a degenerate
     pair), and omega gamma^2 + 2 g gamma; the returned states are the matching
-    eigenvectors of semiclassical_hamiltonian at the supplied phase.
+    eigenvectors of the effective spin Hamiltonian after averaging the field
+    over |alpha>, alpha = gamma e^{i phi}:
+    omega gamma^2 + i g gamma (e^{i phi} J+ - e^{-i phi} J-).
     """
     if gamma is None:
         gamma = cfg.gamma

@@ -14,11 +14,9 @@ from cavity_bell.correlations import (
     concurrence,
     correlation,
     correlation_matrix,
-    local_correlation,
     max_chsh,
     max_chsh_brute,
     sigma_dot,
-    spin_coherent_pair,
 )
 from cavity_bell.dynamics import reduced_density
 from cavity_bell.numerics import NumericalFailure, random_density_matrix
@@ -61,27 +59,6 @@ def random_direction(rng):
     return MeasurementDirection(rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi))
 
 
-def test_spin_coherent_poles():
-    plus, minus = spin_coherent_pair(MeasurementDirection(0.0, 0.0))
-    assert np.allclose(plus, [1.0, 0.0])
-    assert np.allclose(minus, [0.0, -1.0])  # south pole, up to the gauge sign
-
-
-def test_spin_coherent_equator():
-    plus, _ = spin_coherent_pair(MeasurementDirection(math.pi / 2, 0.0))
-    assert np.allclose(plus, [1 / math.sqrt(2), 1 / math.sqrt(2)])
-
-
-def test_spin_coherent_eigenvectors(rng):
-    for _ in range(40):
-        n = random_direction(rng)
-        op = sigma_dot(n)
-        plus, minus = spin_coherent_pair(n)
-        assert np.abs(op @ plus - plus).max() < 1e-12
-        assert np.abs(op @ minus + minus).max() < 1e-12
-        assert abs(np.vdot(plus, minus)) < 1e-12
-
-
 def test_direction_roundtrip(rng):
     for _ in range(20):
         n = random_direction(rng)
@@ -112,23 +89,13 @@ def test_correlation_rejects_nonhermitian():
         correlation(bad, MeasurementDirection(0.0), MeasurementDirection(0.0))
 
 
-def test_local_correlation_values(rng):
-    z = MeasurementDirection(0.0, 0.0)
-    anti = EntangledStateSpec(Polarization.ANTIPARALLEL, 0.4, 0.9)
-    par = EntangledStateSpec(Polarization.PARALLEL, 0.4, 0.9)
-    assert math.isclose(local_correlation(anti, z, z), -1.0)
-    assert math.isclose(local_correlation(par, z, z), 1.0)
-    equator = MeasurementDirection(math.pi / 2, 0.3)
-    assert abs(local_correlation(anti, equator, random_direction(rng))) < 1e-12
-
-
-def test_local_correlation_matches_local_part(rng):
+def test_chsh_local_value_matches_local_part(rng):
+    # the diagonal part of the state carries -+cos(theta_a) cos(theta_b) correlations
     for _ in range(30):
         spec = random_spec(rng)
         local, _ = split_local_nonlocal(spec)
-        a, b = random_direction(rng), random_direction(rng)
-        assert math.isclose(local_correlation(spec, a, b),
-                            correlation(local, a, b), abs_tol=1e-12)
+        quad = ChshQuadruple(*(random_direction(rng) for _ in range(4)))
+        assert math.isclose(chsh_local_value(spec, quad), chsh_value(local, quad), abs_tol=1e-12)
 
 
 def test_full_correlation_is_local_plus_nonlocal(rng):
@@ -300,6 +267,52 @@ def test_brute_force_examples():
     assert abs(max_chsh_brute(rho_pp, samples=5000, seed=1) - 2.0) <= 1e-3
     with pytest.raises(ValueError):
         max_chsh_brute(SINGLET_RHO, samples=0)
+
+
+def test_brute_force_rejects_bad_inputs():
+    with pytest.raises(ValueError, match="refine"):
+        max_chsh_brute(SINGLET_RHO, refine=-1)
+    with pytest.raises(ValueError, match="empty"):
+        max_chsh_brute(np.zeros((0, 4, 4), dtype=complex))
+    with pytest.raises(ValueError, match="empty"):
+        max_chsh(np.zeros((0, 4, 4), dtype=complex))
+    bad = SINGLET_RHO + 1e-6 * np.diag([1j, 0, 0, 0])
+    for fn in (max_chsh, max_chsh_brute):
+        with pytest.raises(ValueError, match="Hermitian"):
+            fn(np.array([SINGLET_RHO, bad]))
+        with pytest.raises(ValueError, match="shape"):
+            fn(np.eye(3))
+
+
+def _rho_up_up():
+    rho = np.zeros((4, 4), dtype=complex)
+    rho[0, 0] = 1.0
+    return rho
+
+
+def test_max_chsh_stack_equals_per_matrix_calls(rng):
+    rhos = np.array([random_density_matrix(rng) for _ in range(200)] + [SINGLET_RHO, _rho_up_up()])
+    stacked = max_chsh(rhos)
+    assert stacked.shape == (len(rhos),)
+    assert np.array_equal(stacked, [max_chsh(rho) for rho in rhos])
+
+
+def test_brute_force_stack_matches_single_calls(rng):
+    rhos = np.array([random_density_matrix(rng) for _ in range(12)] + [SINGLET_RHO, _rho_up_up()])
+    stacked = max_chsh_brute(rhos, seed=5)
+    singles = np.array([max_chsh_brute(rho, seed=5) for rho in rhos])
+    assert np.abs(stacked - singles).max() <= 1e-9
+    assert np.all(stacked <= max_chsh(rhos) + 1e-9)
+    # a one-member stack runs the single-density arithmetic exactly
+    assert max_chsh_brute(rhos[:1], seed=5)[0] == singles[0]
+
+
+def test_chsh_stack_shapes(rng):
+    rhos = np.array([random_density_matrix(rng) for _ in range(6)]).reshape(2, 3, 4, 4)
+    for fn in (max_chsh, lambda r: max_chsh_brute(r, samples=500, refine=1)):
+        assert fn(rhos).shape == (2, 3)
+        assert type(fn(rhos[0, 0])) is float
+    assert np.array_equal(max_chsh(rhos).ravel(), max_chsh(rhos.reshape(6, 4, 4)))
 
 
 def test_brute_force_converges(rng):

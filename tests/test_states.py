@@ -6,11 +6,12 @@ import pytest
 from cavity_bell.states import (
     CavityConfig,
     EntangledStateSpec,
+    J_MINUS,
+    J_PLUS,
     Polarization,
     StationaryKind,
     density_from_pure,
     make_entangled,
-    semiclassical_hamiltonian,
     semiclassical_spectrum,
     split_local_nonlocal,
     stationary_amplitudes,
@@ -93,6 +94,12 @@ def test_spectrum_orthonormal(rng):
         states = [l.state for l in semiclassical_spectrum(CavityConfig(phi=phi), 1.0)]
         gram = np.array([[np.vdot(a, b) for b in states] for a in states])
         assert np.abs(gram - np.eye(4)).max() < 1e-12
+
+
+def semiclassical_hamiltonian(cfg, gamma):
+    # effective spin Hamiltonian after averaging the field over |alpha>, alpha = gamma e^{i phi}
+    drive = 1j * gamma * cfg.g * (np.exp(1j * cfg.phi) * J_PLUS - np.exp(-1j * cfg.phi) * J_MINUS)
+    return cfg.omega * gamma * gamma * np.eye(4, dtype=complex) + drive
 
 
 def test_spectrum_states_are_eigenvectors(rng):
