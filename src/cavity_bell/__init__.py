@@ -44,6 +44,7 @@ from .dynamics import (  # noqa: F401
 from .oracle import (  # noqa: F401
     ComparisonReport,
     Propagator,
+    Triplets,
     build_hamiltonian,
     compare_closed_form,
     coupling_hamiltonian,

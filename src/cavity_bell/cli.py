@@ -126,6 +126,7 @@ def build_parser() -> _Parser:
     p_orc.add_argument("--points", type=int, default=50)
     p_orc.add_argument("--tol", type=float, default=1e-6, help="pass threshold")
     p_orc.add_argument("--frame", choices=list(FRAMES), default="corotating")
+    p_orc.add_argument("--phi", type=float, default=0.0, help="coherent phase")
 
     p_self = sub.add_parser("selftest", help="run the acceptance criteria")
     p_self.add_argument("--fast", action="store_true", help="reduced grids, smoke test only")
@@ -226,7 +227,8 @@ def _cmd_oracle_check(args) -> int:
     cfg = CavityConfig.from_mean_photons(
         args.gamma2 if args.gamma2 is not None else 0.0,
         omega=args.omega if args.omega is not None else 1.0,
-        g=args.g if args.g is not None else 1.0)
+        g=args.g if args.g is not None else 1.0,
+        phi=args.phi)
     if args.points < 1:
         raise ValueError(f"--points must be >= 1, got {args.points}")
     times = np.linspace(0.0, args.t_end * cfg.period, args.points)

@@ -72,22 +72,27 @@ def _checked_density(rho, stack: bool = False) -> np.ndarray:
     return arr
 
 
-def correlation(rho, a: MeasurementDirection, b: MeasurementDirection) -> float:
-    """Two-direction correlation Tr[(sigma.a x sigma.b) rho]."""
-    arr = _checked_density(rho)
+def _trace_correlation(arr: np.ndarray, a: MeasurementDirection, b: MeasurementDirection) -> float:
+    """Tr[(sigma.a x sigma.b) arr] for an already checked density ``arr``."""
     val = np.trace(np.kron(sigma_dot(a), sigma_dot(b)) @ arr)
     if abs(val.imag) > 1e-12:
         raise NumericalFailure(f"correlation has imaginary residue {val.imag:.3e}")
     return float(val.real)
 
 
+def correlation(rho, a: MeasurementDirection, b: MeasurementDirection) -> float:
+    """Two-direction correlation Tr[(sigma.a x sigma.b) rho]."""
+    return _trace_correlation(_checked_density(rho), a, b)
+
+
 def chsh_value(rho, q: ChshQuadruple) -> float:
     """|P(a,b) + P(a,c) + P(d,b) - P(d,c)| for the four measurement directions."""
+    arr = _checked_density(rho)
     return abs(
-        correlation(rho, q.a, q.b)
-        + correlation(rho, q.a, q.c)
-        + correlation(rho, q.d, q.b)
-        - correlation(rho, q.d, q.c)
+        _trace_correlation(arr, q.a, q.b)
+        + _trace_correlation(arr, q.a, q.c)
+        + _trace_correlation(arr, q.d, q.b)
+        - _trace_correlation(arr, q.d, q.c)
     )
 
 

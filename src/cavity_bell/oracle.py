@@ -1,18 +1,19 @@
 """Brute-force ground truth: evolve the joint spin-field state in a truncated
 Fock space, trace out the field, and compare against the sector expansion.
 
-The oracle assembles the full dense joint Hamiltonian from the truncated a,
-a^dag and the collective spin operators J+-, with no knowledge of the
-closed form.  Both generators below conserve the total excitation
+The oracle assembles the joint Hamiltonian as (row, col, value) triplets from
+the bidiagonal truncated a, a^dag and the collective spin operators J+-,
+with no knowledge of the closed form; the dense joint matrix is never
+formed.  Both generators below conserve the total excitation
 N = a^dag a + (number of up spins), the Tavis-Cummings symmetry, so the
 propagator splits H into its N-blocks: it first checks exactly that no
-entry of H links two different N (a Hamiltonian that does is refused, not
-truncated), then diagonalises the n_fock + 3 blocks, none larger than 4x4,
-in one batched LAPACK call, and applies exp(-iHt) to a whole time grid at
-once.  The block split is verified on the assembled matrix, never assumed,
-and the evolution stays brute force: exact eigensystems of the truncated
-matrix, no closed-form time functions, so it remains an independent check
-of the sector expansion.
+nonzero triplet links two different N (a Hamiltonian that does is refused,
+not truncated), then scatters the triplets into the n_fock + 3 blocks, none
+larger than 4x4, diagonalises them in one batched LAPACK call, and applies
+exp(-iHt) to a whole time grid at once.  The block split is verified on the
+assembled entries, never assumed, and the evolution stays brute force:
+exact eigensystems of the truncated matrix, no closed-form time functions,
+so it remains an independent check of the sector expansion.
 
 Two evolution frames are supported.
 
@@ -56,25 +57,48 @@ ORACLE_SLACK = 8
 EDGE_LIMIT = 1e-10
 
 
-def fock_operators(n_fock: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(a, a^dag, a^dag a) on the truncated Fock space; a^dag is cut at the edge."""
-    n = np.arange(n_fock + 1, dtype=float)
-    a = np.diag(np.sqrt(n[1:]), k=1)
-    return a, a.conj().T, np.diag(n)
+@dataclass(frozen=True, eq=False)
+class Triplets:
+    """A joint-space operator as (row, col, value) entries over the joint index
+    k (n_fock + 1) + n of spin index k and photon number n; repeated (row, col)
+    entries add up, as in a dense sum."""
+
+    rows: np.ndarray
+    cols: np.ndarray
+    values: np.ndarray
+    n_fock: int
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        dim = 4 * (self.n_fock + 1)
+        return dim, dim
 
 
-def coupling_hamiltonian(cfg: CavityConfig, n_fock: int) -> np.ndarray:
-    """Spin-field exchange term i g (a J+ - a^dag J-) on the joint space."""
-    a, adag, _ = fock_operators(n_fock)
-    return 1j * cfg.g * (np.kron(J_PLUS, a) - np.kron(J_MINUS, adag))
+def coupling_hamiltonian(cfg: CavityConfig, n_fock: int) -> Triplets:
+    """Spin-field exchange term i g (a J+ - a^dag J-) on the joint space; the
+    a^dag row is cut at the Fock edge."""
+    # term 0 pairs J+ with a[n, n+1], term 1 pairs -J- with a^dag[n+1, n];
+    # every spin entry meets every field entry in one broadcast
+    spin = np.stack([J_PLUS, -J_MINUS])
+    term, k, kp = np.nonzero(spin)
+    n = np.arange(n_fock)
+    stride = n_fock + 1
+    rows = (k * stride + term)[:, None] + n
+    cols = (kp * stride + 1 - term)[:, None] + n
+    values = 1j * cfg.g * (spin[term, k, kp][:, None] * np.sqrt(n + 1.0))
+    return Triplets(rows.ravel(), cols.ravel(), values.ravel(), n_fock)
 
 
-def build_hamiltonian(cfg: CavityConfig, n_fock: int) -> np.ndarray:
+def build_hamiltonian(cfg: CavityConfig, n_fock: int) -> Triplets:
     """Full lab-frame Hamiltonian omega a^dag a + i g (a J+ - a^dag J-)."""
     if n_fock < 1:
         raise ValueError("n_fock must be >= 1")
-    _, _, number = fock_operators(n_fock)
-    return cfg.omega * np.kron(np.eye(4, dtype=complex), number) + coupling_hamiltonian(cfg, n_fock)
+    coupling = coupling_hamiltonian(cfg, n_fock)
+    diag = np.arange(4 * (n_fock + 1))
+    number = cfg.omega * np.tile(np.arange(n_fock + 1.0), 4)
+    return Triplets(np.concatenate([diag, coupling.rows]),
+                    np.concatenate([diag, coupling.cols]),
+                    np.concatenate([number, coupling.values]), n_fock)
 
 
 def excitation_numbers(n_fock: int) -> np.ndarray:
@@ -102,47 +126,55 @@ def initial_joint(spec: EntangledStateSpec, cfg: CavityConfig, n_fock: int) -> n
         raise TruncationTooSmall(
             f"coherent tail beyond n_fock={n_fock} is {deficit:.3e} > 1e-12"
         )
-    amps = np.kron(make_entangled(spec), fieldamps)
+    amps = np.outer(make_entangled(spec), fieldamps).ravel()
     return amps / np.linalg.norm(amps)
 
 
 @dataclass
 class Propagator:
-    """exp(-iHt) applier for a joint-space H that conserves the total excitation.
+    """exp(-iHt) applier for a joint-space H, given as ``Triplets``, that
+    conserves the total excitation.
 
     The joint index (spin k, photon n) carries N = n + SPIN_EXCITATIONS[k].
-    Construction refuses, with ``ValueError``, any H with a nonzero entry
-    between two different N; there is no dense fallback.  Block N gathers the
-    indices (k, N - SPIN_EXCITATIONS[k]) that lie inside the Fock cut, so
-    there are n_fock + 3 blocks of at most 4 states; the other slots are zero
-    padding, which the propagated amplitudes never reach.  One batched
-    Hermitian eigendecomposition of the block stack then serves every t.
+    Construction refuses, with ``ValueError``, any nonzero triplet between two
+    different N; there is no dense fallback.  Block N gathers the indices
+    (k, N - SPIN_EXCITATIONS[k]) that lie inside the Fock cut, so there are
+    n_fock + 3 blocks of at most 4 states; the triplets are scattered straight
+    into them, and the other slots are zero padding, which the propagated
+    amplitudes never reach.  One batched Hermitian eigendecomposition of the
+    block stack then serves every t.
     """
 
-    hamiltonian: np.ndarray
+    hamiltonian: Triplets
     _index: np.ndarray = field(init=False, repr=False)
     _valid: np.ndarray = field(init=False, repr=False)
     _eigvals: np.ndarray = field(init=False, repr=False)
     _eigvecs: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        h = np.asarray(self.hamiltonian)
-        dim = h.shape[0] if h.ndim == 2 else 0
-        if h.shape != (dim, dim) or dim % 4 or dim < 8:
-            raise ValueError(f"expected a 4*(n_fock+1) square joint Hamiltonian with "
-                             f"n_fock >= 1, got shape {h.shape}")
-        n_fock = dim // 4 - 1
-        excitation = excitation_numbers(n_fock)
-        cross = np.argwhere((h != 0) & (excitation[:, None] != excitation))
+        h = self.hamiltonian
+        n_fock = h.n_fock
+        if n_fock < 1:
+            raise ValueError(f"n_fock must be >= 1, got {n_fock}")
+        rows, cols, values = np.asarray(h.rows), np.asarray(h.cols), np.asarray(h.values)
+        if rows.ndim != 1 or not rows.shape == cols.shape == values.shape:
+            raise ValueError(f"rows, cols and values must be 1-D of one length, got shapes "
+                             f"{rows.shape}, {cols.shape}, {values.shape}")
+        dim = h.shape[0]
+        if rows.size and (min(rows.min(), cols.min()) < 0 or max(rows.max(), cols.max()) >= dim):
+            raise ValueError(f"triplet index outside the joint space of dimension {dim}")
+        excitation = excitation_numbers(n_fock).astype(int)
+        cross = np.flatnonzero((values != 0) & (excitation[rows] != excitation[cols]))
         if cross.size:
-            i, j = cross[0]
-            raise ValueError(f"H[{i}, {j}] links excitation numbers {excitation[i]:g} and "
-                             f"{excitation[j]:g}; the propagator needs a conserved excitation")
+            i, j = rows[cross[0]], cols[cross[0]]
+            raise ValueError(f"H[{i}, {j}] links excitation numbers {excitation[i]} and "
+                             f"{excitation[j]}; the propagator needs a conserved excitation")
         photon = np.arange(n_fock + 3)[:, None] - SPIN_EXCITATIONS.astype(int)
         self._valid = (photon >= 0) & (photon <= n_fock)
         self._index = np.where(self._valid, np.arange(4) * (n_fock + 1) + photon, 0)
-        pad = self._valid[:, :, None] & self._valid[:, None, :]
-        blocks = np.where(pad, h[self._index[:, :, None], self._index[:, None, :]], 0)
+        spin = np.arange(dim) // (n_fock + 1)
+        blocks = np.zeros((n_fock + 3, 4, 4), dtype=complex)
+        np.add.at(blocks, (excitation[rows], spin[rows], spin[cols]), values)
         self._eigvals, self._eigvecs = hermitian_eigensystem(blocks)
 
     def apply(self, amps: np.ndarray, t) -> np.ndarray:

@@ -229,6 +229,19 @@ def test_pure_state_formulas(rng):
                 assert math.isclose(concurrence(rho), abs(s2), abs_tol=1e-11)
 
 
+def test_chsh_value_is_the_four_correlation_combination(rng):
+    # one density check, the same arithmetic as four checked correlation calls
+    for _ in range(10):
+        rho = random_density_matrix(rng)
+        q = ChshQuadruple(*(random_direction(rng) for _ in range(4)))
+        four = abs(correlation(rho, q.a, q.b) + correlation(rho, q.a, q.c)
+                   + correlation(rho, q.d, q.b) - correlation(rho, q.d, q.c))
+        assert chsh_value(rho, q) == four
+    bad = SINGLET_RHO + 1e-6 * np.diag([1j, 0, 0, 0])
+    with pytest.raises(ValueError, match="Hermitian"):
+        chsh_value(bad, q)
+
+
 def test_chsh_value_never_exceeds_max(rng):
     for _ in range(15):
         rho = random_density_matrix(rng)

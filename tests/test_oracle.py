@@ -9,6 +9,7 @@ from cavity_bell.dynamics import reduced_density
 from cavity_bell.oracle import (
     ORACLE_SLACK,
     Propagator,
+    Triplets,
     TruncationTooSmall,
     build_hamiltonian,
     coherent_amplitudes,
@@ -16,11 +17,12 @@ from cavity_bell.oracle import (
     coupling_hamiltonian,
     default_n_fock,
     excitation_numbers,
-    fock_operators,
     initial_joint,
     reduced_dynamics,
 )
 from cavity_bell.states import (
+    J_MINUS,
+    J_PLUS,
     SIGMA_X,
     CavityConfig,
     EntangledStateSpec,
@@ -33,9 +35,42 @@ ANTI_QUARTER = EntangledStateSpec(Polarization.ANTIPARALLEL, math.pi / 4, 0.0)
 SINGLET = EntangledStateSpec(Polarization.ANTIPARALLEL, 3 * math.pi / 4, 0.0)
 
 
+def fock_operators(n_fock):
+    """(a, a^dag, a^dag a) on the truncated Fock space; a^dag is cut at the edge."""
+    n = np.arange(n_fock + 1, dtype=float)
+    a = np.diag(np.sqrt(n[1:]), k=1)
+    return a, a.conj().T, np.diag(n)
+
+
+def dense(h):
+    """The joint matrix the triplets stand for; repeated entries add up."""
+    out = np.zeros(h.shape, dtype=complex)
+    np.add.at(out, (h.rows, h.cols), h.values)
+    return out
+
+
+def kron_reference(cfg, n_fock, lab):
+    """The joint generator assembled densely from kron products."""
+    a, adag, number = fock_operators(n_fock)
+    h = 1j * cfg.g * (np.kron(J_PLUS, a) - np.kron(J_MINUS, adag))
+    if lab:
+        h = cfg.omega * np.kron(np.eye(4, dtype=complex), number) + h
+    return h
+
+
+@pytest.mark.parametrize("n_fock", [1, 5, 40])
+@pytest.mark.parametrize("generator, lab", [(coupling_hamiltonian, False),
+                                            (build_hamiltonian, True)])
+def test_triplets_match_kron_assembly(generator, lab, n_fock):
+    cfg = CavityConfig(omega=1.3, g=0.7, gamma=1.0)
+    h = generator(cfg, n_fock)
+    assert h.shape == (4 * (n_fock + 1),) * 2
+    assert np.array_equal(dense(h), kron_reference(cfg, n_fock, lab))
+
+
 def test_hamiltonian_is_hermitian_and_diagonal_at_g0():
     cfg = CavityConfig(omega=1.3, g=0.0, gamma=1.0)
-    h = build_hamiltonian(cfg, 6)
+    h = dense(build_hamiltonian(cfg, 6))
     assert np.abs(h - h.conj().T).max() < 1e-12
     expected = 1.3 * np.kron(np.ones(4), np.arange(7.0))
     assert np.abs(h - np.diag(expected)).max() < 1e-14
@@ -43,14 +78,14 @@ def test_hamiltonian_is_hermitian_and_diagonal_at_g0():
 
 def test_hamiltonian_hermitian_with_coupling(rng):
     cfg = CavityConfig(omega=rng.uniform(0.5, 2.0), g=rng.uniform(0.1, 2.0), gamma=1.0)
-    h = build_hamiltonian(cfg, 9)
+    h = dense(build_hamiltonian(cfg, 9))
     assert np.abs(h - h.conj().T).max() < 1e-12
 
 
 def test_hamiltonian_conserves_excitation_number():
     cfg = CavityConfig(omega=1.0, g=1.0, gamma=1.0)
     n_fock = 8
-    h = build_hamiltonian(cfg, n_fock)
+    h = dense(build_hamiltonian(cfg, n_fock))
     n_op = np.diag(excitation_numbers(n_fock))
     # exact even under truncation: the cut only removes the top a^dag row
     assert np.abs(h @ n_op - n_op @ h).max() < 1e-12
@@ -58,7 +93,7 @@ def test_hamiltonian_conserves_excitation_number():
 
 def test_singlet_vacuum_is_zero_eigenvector():
     cfg = CavityConfig(omega=1.0, g=1.0, gamma=0.0)
-    h = build_hamiltonian(cfg, 1)
+    h = dense(build_hamiltonian(cfg, 1))
     psi = initial_joint(SINGLET, cfg, 1)
     assert np.abs(h @ psi).max() < 1e-14
 
@@ -193,10 +228,11 @@ def test_block_propagator_matches_dense_exponential(generator, n_fock, rng):
     # dense joint generator; at n_fock = 1 the cut pads the block of joint
     # index 0, so padding must not alias a real state
     cfg = CavityConfig(omega=1.0, g=1.0, gamma=1.1)
-    h = generator(cfg, n_fock)
+    triplets = generator(cfg, n_fock)
+    h = dense(triplets)
     psi = rng.normal(size=h.shape[0]) + 1j * rng.normal(size=h.shape[0])
     psi /= np.linalg.norm(psi)
-    prop = Propagator(h)
+    prop = Propagator(triplets)
     times = np.linspace(0.0, 3 * cfg.period, 6)
     grid = prop.apply(psi, times)
     assert grid.shape == (times.size, psi.size)
@@ -206,15 +242,43 @@ def test_block_propagator_matches_dense_exponential(generator, n_fock, rng):
         assert np.abs(row - exact).max() <= 1e-12
 
 
+def with_extra(h, rows, cols, values):
+    return Triplets(np.concatenate([h.rows, rows]), np.concatenate([h.cols, cols]),
+                    np.concatenate([h.values, values]), h.n_fock)
+
+
 def test_propagator_refuses_excitation_coupling():
     # sigma_x on the first spin flips one excitation without a photon
     cfg = CavityConfig(omega=1.0, g=1.0, gamma=1.0)
     n_fock = 6
     flip = np.kron(np.kron(SIGMA_X, np.eye(2)), np.eye(n_fock + 1))
-    h = build_hamiltonian(cfg, n_fock) + flip
-    assert np.abs(h - h.conj().T).max() == 0.0
-    with pytest.raises(ValueError, match="excitation"):
+    rows, cols = np.nonzero(flip)
+    h = with_extra(build_hamiltonian(cfg, n_fock), rows, cols, flip[rows, cols])
+    assert np.abs(dense(h) - dense(h).conj().T).max() == 0.0
+    with pytest.raises(ValueError, match="links excitation numbers"):
         Propagator(h)
+
+
+def test_propagator_accepts_zero_cross_excitation_triplet(rng):
+    # only nonzero entries must conserve the excitation, as for a dense H
+    cfg = CavityConfig(omega=1.0, g=1.0, gamma=1.0)
+    h = build_hamiltonian(cfg, 6)
+    excitation = excitation_numbers(6)
+    assert excitation[0] != excitation[1]
+    psi = rng.normal(size=h.shape[0]) + 1j * rng.normal(size=h.shape[0])
+    padded = Propagator(with_extra(h, [0], [1], [0.0])).apply(psi, 0.8)
+    assert np.array_equal(padded, Propagator(h).apply(psi, 0.8))
+
+
+@pytest.mark.parametrize("rows, cols, n_fock, match", [
+    ([0], [0], 0, "n_fock"),
+    ([8], [0], 1, "outside"),
+    ([-1], [0], 1, "outside"),
+    ([[0]], [[0]], 1, "1-D"),
+])
+def test_propagator_validates_triplets(rows, cols, n_fock, match):
+    with pytest.raises(ValueError, match=match):
+        Propagator(Triplets(np.array(rows), np.array(cols), np.ones(np.shape(rows)), n_fock))
 
 
 def test_reduced_dynamics_grid_equals_per_time_calls():
@@ -310,6 +374,18 @@ def test_compare_large_fields(gamma2, polarization):
     cfg = CavityConfig.from_mean_photons(gamma2)
     spec = EntangledStateSpec(polarization, math.pi / 6, math.pi / 3)
     report = compare_closed_form(spec, cfg, np.linspace(0, 10 * cfg.period, 8))
+    assert report.passed and report.max_deviation <= 1e-6
+
+
+@pytest.mark.parametrize("gamma2", [600.0, 1500.0])
+@pytest.mark.parametrize("polarization", list(Polarization))
+def test_compare_high_fields(gamma2, polarization):
+    # beyond the published panels: n_fock 787 and 1787, where a dense joint
+    # matrix would take up to 0.8 GB; corotating only, since the lab frame is
+    # detuned by design
+    cfg = CavityConfig.from_mean_photons(gamma2)
+    spec = EntangledStateSpec(polarization, math.pi / 6, math.pi / 3)
+    report = compare_closed_form(spec, cfg, np.linspace(0, 10 * cfg.period, 50))
     assert report.passed and report.max_deviation <= 1e-6
 
 

@@ -298,6 +298,13 @@ def test_cli_oracle_check(capsys):
     assert "PASS" in capsys.readouterr().out
 
 
+def test_cli_oracle_check_nonzero_phase(capsys):
+    code = main(["oracle-check", "--gamma2", "2", "--phi", "0.9", "--xi", "0.7",
+                 "--eta", "0.4", "--t-end", "2", "--points", "8"])
+    assert code == 0
+    assert capsys.readouterr().out.startswith("PASS")
+
+
 def test_cli_oracle_check_lab_frame_fails(capsys):
     code = main(["oracle-check", "--gamma2", "0", "--xi", "0.7853981634",
                  "--t-end", "1", "--points", "6", "--frame", "lab"])
