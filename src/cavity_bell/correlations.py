@@ -122,21 +122,25 @@ def max_chsh(rho):
     return float(p) if p.ndim == 0 else p
 
 
-def concurrence(rho) -> float:
+def concurrence(rho):
     """Wootters concurrence max(0, l1 - l2 - l3 - l4) from a Hermitian factor of rho.
 
     With rho = F F^dag, F = V sqrt(w) from rho's own eigensystem, the l_i are
     the singular values of F^T (sy x sy) F, whose squares are the eigenvalues
     of rho (sy x sy) rho* (sy x sy).  Eigenvalues of rho below -1e-9 mark an
     invalid (non-PSD) density; smaller negative rounding residue is set to 0.
+
+    A 4x4 density gives a float; a (..., 4, 4) stack gives an array of shape
+    ``rho.shape[:-2]``, one batched ``eigh`` and ``svd`` for the whole stack.
     """
-    arr = _checked_density(rho)
+    arr = _checked_density(rho, stack=True)
     w, v = hermitian_eigensystem(arr)
     if w.min() < -1e-9:
         raise NumericalFailure(f"density matrix has negative eigenvalue {w.min():.3e}")
-    factor = v * np.sqrt(np.maximum(w, 0.0))
-    lam = np.linalg.svd(factor.T @ _SYSY @ factor, compute_uv=False)
-    return max(0.0, float(lam[0] - lam[1] - lam[2] - lam[3]))
+    factor = v * np.sqrt(np.maximum(w, 0.0))[..., None, :]
+    lam = np.linalg.svd(factor.swapaxes(-1, -2) @ _SYSY @ factor, compute_uv=False)
+    c = np.maximum(0.0, lam[..., 0] - lam[..., 1] - lam[..., 2] - lam[..., 3])
+    return float(c) if c.ndim == 0 else c
 
 
 def _direction_or_fallback(v) -> MeasurementDirection:

@@ -1,9 +1,11 @@
 """Sweep jobs, figure presets, config files, and CSV/JSON emission.
 
-A sweep evaluates the closed-form reduced density at each grid time and
-reduces it to the maximum CHSH value, the concurrence and the trace
-deficit.  Nothing in a sweep is random, so identical jobs write
-byte-identical files.
+A sweep evaluates the closed-form reduced density at each grid time, one
+``reduced_density`` call per point, and stacks the results into a (T, 4, 4)
+array.  The maximum CHSH value, the concurrence, the trace deficit and the
+optional rescale are then each one array operation over that stack, and the
+CSV writers format each row with a single ``%``.  Nothing in a sweep is
+random, so identical jobs write byte-identical files.
 """
 from __future__ import annotations
 
@@ -79,29 +81,26 @@ class CorrelationSeries:
 
 
 def run_sweep(job: SweepJob) -> CorrelationSeries:
-    """Evaluate the reduced density on the grid and derive the requested series."""
+    """Evaluate the reduced density at each grid time, then derive the requested
+    series from the (T, 4, 4) stack with one call per diagnostic."""
     period = job.cfg.period
     times = job.times_over_period()
-    rows = []
-    for tau in times:
-        rho, trunc = reduced_density(job.spec, tau * period, job.cfg, tol=job.tol)
-        deficit = 1.0 - float(np.trace(rho).real)
-        if job.renormalize:
-            rho = rho / np.trace(rho).real
-        rows.append((max_chsh(rho), concurrence(rho), deficit, rho))
-
-    series = CorrelationSeries(
+    points = [reduced_density(job.spec, tau * period, job.cfg, tol=job.tol) for tau in times]
+    rho = np.stack([p[0] for p in points])
+    trunc = points[-1][1]
+    trace = rho.trace(axis1=-2, axis2=-1).real
+    if job.renormalize:
+        rho = rho / trace[:, None, None]
+    return CorrelationSeries(
         times_over_T=times,
-        p_chsh_max=np.array([r[0] for r in rows]),
-        concurrence=np.array([r[1] for r in rows]),
-        trace_deficit=np.array([r[2] for r in rows]),
+        p_chsh_max=max_chsh(rho),
+        concurrence=concurrence(rho),
+        trace_deficit=1.0 - trace,
         n_max=trunc.n_max,
         tail_bound=trunc.tail_bound,
         job=job,
+        rho=rho if "rho_elements" in job.outputs else None,
     )
-    if "rho_elements" in job.outputs:
-        series.rho = np.stack([r[3] for r in rows])
-    return series
 
 
 def series_manifest(series: CorrelationSeries) -> dict:
@@ -129,32 +128,29 @@ def series_manifest(series: CorrelationSeries) -> dict:
     }
 
 
+def _write_rows(path, header: str, row_format: str, table: np.ndarray) -> None:
+    """CSV with ``header`` and one ``row_format % row`` line per row of ``table``, LF endings."""
+    lines = [header] + [row_format % tuple(row) for row in table.tolist()]
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+
+
 def write_series_csv(series: CorrelationSeries, path) -> None:
     """Fixed 4-column CSV: t_over_T, p_chsh_max, concurrence, trace_deficit."""
-    lines = [CSV_HEADER]
-    for i, tau in enumerate(series.times_over_T):
-        lines.append("%.12g,%.17g,%.17g,%.17g" % (
-            tau, series.p_chsh_max[i], series.concurrence[i], series.trace_deficit[i]))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    table = np.column_stack([series.times_over_T, series.p_chsh_max,
+                             series.concurrence, series.trace_deficit])
+    _write_rows(path, CSV_HEADER, "%.12g,%.17g,%.17g,%.17g", table)
 
 
 def write_rho_csv(series: CorrelationSeries, path) -> None:
     """Side-car CSV with the full reduced density per time (re/im of all 16 entries)."""
     if series.rho is None:
         raise ValueError("sweep was run without the rho_elements output")
-    cols = ["t_over_T"]
-    for i in range(4):
-        for j in range(4):
-            cols += [f"re_{i + 1}{j + 1}", f"im_{i + 1}{j + 1}"]
-    lines = [",".join(cols)]
-    for k, tau in enumerate(series.times_over_T):
-        vals = ["%.12g" % tau]
-        for i in range(4):
-            for j in range(4):
-                vals.append("%.17g" % series.rho[k, i, j].real)
-                vals.append("%.17g" % series.rho[k, i, j].imag)
-        lines.append(",".join(vals))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    cols = ["t_over_T"] + [f"{part}_{i}{j}" for i in range(1, 5) for j in range(1, 5)
+                           for part in ("re", "im")]
+    # a complex (T, 4, 4) array viewed as float interleaves re and im in header order
+    flat = np.ascontiguousarray(series.rho, dtype=complex).view(float).reshape(len(series.rho), 32)
+    _write_rows(path, ",".join(cols), "%.12g" + ",%.17g" * 32,
+                np.column_stack([series.times_over_T, flat]))
 
 
 def write_manifest(manifest: dict, path) -> None:

@@ -18,7 +18,7 @@ from cavity_bell.correlations import (
     max_chsh_brute,
     sigma_dot,
 )
-from cavity_bell.dynamics import reduced_density
+from cavity_bell.dynamics import reduced_densities, reduced_density
 from cavity_bell.numerics import NumericalFailure, random_density_matrix
 from cavity_bell.states import (
     CavityConfig,
@@ -326,6 +326,38 @@ def test_chsh_stack_shapes(rng):
         assert fn(rhos).shape == (2, 3)
         assert type(fn(rhos[0, 0])) is float
     assert np.array_equal(max_chsh(rhos).ravel(), max_chsh(rhos.reshape(6, 4, 4)))
+
+
+def test_concurrence_stack_equals_per_matrix_calls(rng):
+    ginibre = [random_density_matrix(rng) for _ in range(300)]
+    vecs = rng.normal(size=(100, 4)) + 1j * rng.normal(size=(100, 4))
+    vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
+    pure = list(np.einsum("ki,kj->kij", vecs, vecs.conj()))
+    cfg = CavityConfig.from_mean_photons(15.0)
+    figure, _ = reduced_densities(EntangledStateSpec(Polarization.PARALLEL, math.pi / 4, math.pi / 3),
+                                  np.linspace(0.0, 10.0, 400) * cfg.period, cfg)
+    for rhos in (np.array(ginibre + [SINGLET_RHO, _rho_up_up()]), np.array(pure), figure):
+        stacked = concurrence(rhos)
+        assert stacked.shape == (len(rhos),)
+        assert np.array_equal(stacked, [concurrence(rho) for rho in rhos])
+
+
+def test_concurrence_stack_shapes(rng):
+    rhos = np.array([random_density_matrix(rng) for _ in range(6)]).reshape(2, 3, 4, 4)
+    assert concurrence(rhos).shape == (2, 3)
+    assert type(concurrence(rhos[0, 0])) is float
+    assert np.array_equal(concurrence(rhos).ravel(), concurrence(rhos.reshape(6, 4, 4)))
+
+
+def test_concurrence_stack_refusals():
+    with pytest.raises(ValueError, match="empty"):
+        concurrence(np.zeros((0, 4, 4), dtype=complex))
+    negative = np.diag([1.5, -0.5, 0.0, 0.0]).astype(complex)
+    with pytest.raises(NumericalFailure, match="negative eigenvalue"):
+        concurrence(np.array([SINGLET_RHO, negative, MIXED_RHO]))
+    bad = SINGLET_RHO + 1e-6 * np.diag([1j, 0, 0, 0])
+    with pytest.raises(ValueError, match="Hermitian"):
+        concurrence(np.array([MIXED_RHO, bad, SINGLET_RHO]))
 
 
 def test_brute_force_converges(rng):

@@ -7,7 +7,8 @@ import pytest
 
 from cavity_bell import cli
 from cavity_bell.cli import main
-from cavity_bell.dynamics import reduced_densities
+from cavity_bell.correlations import concurrence, max_chsh
+from cavity_bell.dynamics import reduced_densities, reduced_density
 from cavity_bell.states import CavityConfig, EntangledStateSpec, Polarization
 from cavity_bell.sweeps import (
     CSV_HEADER,
@@ -119,6 +120,72 @@ def test_sweep_renormalize_keeps_trace_deficit():
     deficit = 1.0 - np.trace(raw, axis1=1, axis2=2).real
     assert deficit.max() > 1e-9
     assert np.abs(series.trace_deficit - deficit).max() <= 1e-14
+
+
+ALL_OUTPUTS = ("p_chsh_max", "concurrence", "trace_deficit", "rho_elements")
+
+
+@pytest.mark.parametrize("polarization, gamma2, renormalize", [
+    (Polarization.ANTIPARALLEL, 0.01, False),
+    (Polarization.ANTIPARALLEL, 15.0, False),
+    (Polarization.PARALLEL, 0.01, False),
+    (Polarization.PARALLEL, 15.0, False),
+    (Polarization.PARALLEL, 15.0, True),
+])
+def test_sweep_equals_scalar_path(polarization, gamma2, renormalize):
+    # the stacked diagnostics must reproduce the per-point calls bit for bit
+    cfg = CavityConfig.from_mean_photons(gamma2)
+    job = SweepJob(EntangledStateSpec(polarization, 0.7, 1.1), cfg, start=0.0, stop=6.0,
+                   count=25, tol=1e-6 if renormalize else 1e-10, outputs=ALL_OUTPUTS,
+                   renormalize=renormalize)
+    series = run_sweep(job)
+    for k, tau in enumerate(series.times_over_T):
+        rho, trunc = reduced_density(job.spec, tau * cfg.period, cfg, tol=job.tol)
+        trace = np.trace(rho).real
+        if renormalize:
+            rho = rho / trace
+        assert series.p_chsh_max[k] == max_chsh(rho)
+        assert series.concurrence[k] == concurrence(rho)
+        assert series.trace_deficit[k] == 1.0 - trace
+        assert np.array_equal(series.rho[k], rho)
+    assert (series.n_max, series.tail_bound) == (trunc.n_max, trunc.tail_bound)
+
+
+def test_rho_csv_round_trip(tmp_path):
+    job = SweepJob(EntangledStateSpec(Polarization.PARALLEL, 0.7, 1.1),
+                   CavityConfig.from_mean_photons(1.0), start=0.0, stop=3.0, count=7,
+                   outputs=ALL_OUTPUTS)
+    series = run_sweep(job)
+    path = tmp_path / "rho.csv"
+    write_rho_csv(series, path)
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    header = rows[0]
+    assert header[0] == "t_over_T" and len(header) == 33
+    for row, tau, rho in zip(rows[1:], series.times_over_T, series.rho, strict=True):
+        assert float(row[0]) == float("%.12g" % tau)
+        # %.17g round-trips a double exactly, so every cell must parse back to rho
+        for name, cell in zip(header[1:], row[1:], strict=True):
+            part, (i, j) = name[:2], (int(name[3]) - 1, int(name[4]) - 1)
+            expected = rho[i, j].real if part == "re" else rho[i, j].imag
+            assert float(cell) == expected
+
+
+def test_series_csv_fixed_text(tmp_path):
+    job = small_job(count=3)
+    series = run_sweep(job)
+    series.times_over_T = np.array([0.0, 1.0 / 3.0, 2.5])
+    series.p_chsh_max = np.array([2.0, 0.1 + 0.2, 2 * math.sqrt(2)])
+    series.concurrence = np.array([1.0, 0.5, 0.0])
+    series.trace_deficit = np.array([0.0, -1e-17, 2.220446049250313e-16])
+    path = tmp_path / "series.csv"
+    write_series_csv(series, path)
+    assert path.read_bytes() == (
+        b"t_over_T,p_chsh_max,concurrence,trace_deficit\n"
+        b"0,2,1,0\n"
+        b"0.333333333333,0.30000000000000004,0.5,-1.0000000000000001e-17\n"
+        b"2.5,2.8284271247461903,0,2.2204460492503131e-16\n"
+    )
 
 
 def test_figure_presets():
