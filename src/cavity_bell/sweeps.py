@@ -81,8 +81,10 @@ class CorrelationSeries:
 
 
 def run_sweep(job: SweepJob) -> CorrelationSeries:
-    """Evaluate the reduced density at each grid time, then derive the requested
-    series from the (T, 4, 4) stack with one call per diagnostic."""
+    """Evaluate the reduced density at each grid time, one ``reduced_density``
+    call per point, then derive every series from the (T, 4, 4) stack: one
+    ``max_chsh`` and one ``concurrence`` call, and the trace deficit and the
+    optional rescale as array operations."""
     period = job.cfg.period
     times = job.times_over_period()
     points = [reduced_density(job.spec, tau * period, job.cfg, tol=job.tol) for tau in times]

@@ -12,6 +12,7 @@ from cavity_bell.dynamics import reduced_densities, reduced_density
 from cavity_bell.states import CavityConfig, EntangledStateSpec, Polarization
 from cavity_bell.sweeps import (
     CSV_HEADER,
+    CorrelationSeries,
     SweepJob,
     figure_preset,
     load_job_config,
@@ -172,12 +173,12 @@ def test_rho_csv_round_trip(tmp_path):
 
 
 def test_series_csv_fixed_text(tmp_path):
-    job = small_job(count=3)
-    series = run_sweep(job)
-    series.times_over_T = np.array([0.0, 1.0 / 3.0, 2.5])
-    series.p_chsh_max = np.array([2.0, 0.1 + 0.2, 2 * math.sqrt(2)])
-    series.concurrence = np.array([1.0, 0.5, 0.0])
-    series.trace_deficit = np.array([0.0, -1e-17, 2.220446049250313e-16])
+    series = CorrelationSeries(
+        times_over_T=np.array([0.0, 1.0 / 3.0, 2.5]),
+        p_chsh_max=np.array([2.0, 0.1 + 0.2, 2 * math.sqrt(2)]),
+        concurrence=np.array([1.0, 0.5, 0.0]),
+        trace_deficit=np.array([0.0, -1e-17, 2.220446049250313e-16]),
+        n_max=0, tail_bound=0.0, job=small_job(count=3))
     path = tmp_path / "series.csv"
     write_series_csv(series, path)
     assert path.read_bytes() == (
