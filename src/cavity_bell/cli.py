@@ -9,7 +9,7 @@ import numpy as np
 
 from . import __version__
 from .correlations import concurrence, max_chsh
-from .dynamics import TruncationError
+from .dynamics import DEFAULT_TOL, TruncationError
 from .numerics import NumericalFailure
 from .oracle import FRAMES, TruncationTooSmall, compare_closed_form
 from .states import (
@@ -62,6 +62,29 @@ def _spec(values: dict, degrees: bool) -> EntangledStateSpec:
                               angle("xi", math.pi / 4), angle("eta", 0.0))
 
 
+def _cavity(values: dict) -> CavityConfig:
+    """Cavity from the user-given omega/g/phi and gamma or gamma2 in ``values``;
+    None or absent keeps the CavityConfig default."""
+    given = {k: values[k] for k in ("omega", "g", "gamma", "phi") if values.get(k) is not None}
+    if values.get("gamma2") is None:
+        return CavityConfig(**given)
+    return CavityConfig.from_mean_photons(values["gamma2"], **given)
+
+
+def _job_fields(values: dict) -> dict:
+    """SweepJob keyword arguments for the user-given grid and run options in ``values``."""
+    fields = {"t_start": "start", "t_end": "stop", "points": "count", "tol": "tol",
+              "renormalize": "renormalize"}
+    return {f: values[k] for k, f in fields.items() if values.get(k) is not None}
+
+
+def _add_grid_args(p):
+    p.add_argument("--t-start", type=float, help=f"grid start t/T (default {SweepJob.start:g})")
+    p.add_argument("--t-end", type=float, help=f"grid end t/T (default {SweepJob.stop:g})")
+    p.add_argument("--points", type=int, help=f"grid size (default {SweepJob.count})")
+    p.add_argument("--tol", type=float, help=f"Poisson tail tolerance (default {DEFAULT_TOL:g})")
+
+
 def _add_state_args(p, with_gamma=True):
     p.add_argument("--polarization", choices=[pol.value for pol in Polarization],
                    default=None, help="entangled-state family")
@@ -69,8 +92,8 @@ def _add_state_args(p, with_gamma=True):
     p.add_argument("--eta", type=float, default=None, help="relative phase angle eta")
     p.add_argument("--degrees", action="store_true",
                    help="interpret the given xi/eta in degrees")
-    p.add_argument("--omega", type=float, default=None, help="field frequency (default 1)")
-    p.add_argument("--g", type=float, default=None, help="coupling in units of omega (default 1)")
+    p.add_argument("--omega", type=float, help=f"field frequency (default {CavityConfig.omega:g})")
+    p.add_argument("--g", type=float, help=f"coupling / omega (default {CavityConfig.g:g})")
     if with_gamma:
         p.add_argument("--gamma2", type=float, default=None,
                        help="mean photon number gamma^2 (default 0)")
@@ -86,20 +109,17 @@ def build_parser() -> _Parser:
     _add_state_args(p_state, with_gamma=False)
 
     p_spec = sub.add_parser("spectrum", help="semiclassical level energies at a coherent amplitude")
-    p_spec.add_argument("--omega", type=float, default=1.0)
-    p_spec.add_argument("--g", type=float, default=1.0)
-    p_spec.add_argument("--gamma", type=float, default=0.0, help="coherent amplitude gamma")
-    p_spec.add_argument("--phi", type=float, default=0.0, help="coherent phase")
+    p_spec.add_argument("--omega", type=float)
+    p_spec.add_argument("--g", type=float)
+    p_spec.add_argument("--gamma", type=float, help="coherent amplitude gamma")
+    p_spec.add_argument("--phi", type=float, help="coherent phase")
     p_spec.add_argument("--states", action="store_true", help="also print the eigenstates")
     p_spec.add_argument("--stationary", action="store_true",
                         help="also print the variational stationary points")
 
     p_sweep = sub.add_parser("sweep", help="time sweep of P_CHSH^max and concurrence")
     _add_state_args(p_sweep)
-    p_sweep.add_argument("--t-start", type=float, default=None, help="grid start in units of T")
-    p_sweep.add_argument("--t-end", type=float, default=None, help="grid end in units of T")
-    p_sweep.add_argument("--points", type=int, default=None, help="grid size (default 400)")
-    p_sweep.add_argument("--tol", type=float, default=None, help="Poisson tail tolerance (default 1e-10)")
+    _add_grid_args(p_sweep)
     p_sweep.add_argument("--renormalize", action="store_true",
                          help="rescale the reduced density to unit trace")
     p_sweep.add_argument("--rho-out", default=None, help="also write the density entries to this CSV")
@@ -109,10 +129,7 @@ def build_parser() -> _Parser:
     p_fig = sub.add_parser("figure", help="reproduce a published figure as CSV series")
     p_fig.add_argument("--figure", required=True, choices=["fig1", "fig2", "fig3", "fig4"])
     p_fig.add_argument("--outdir", required=True)
-    p_fig.add_argument("--t-start", type=float, default=0.0)
-    p_fig.add_argument("--t-end", type=float, default=10.0)
-    p_fig.add_argument("--points", type=int, default=400)
-    p_fig.add_argument("--tol", type=float, default=1e-10)
+    _add_grid_args(p_fig)
     p_fig.add_argument("--panels", default=None, help="comma-separated panel subset, e.g. 1,4")
     p_fig.add_argument("--fig1-third-xi", choices=["3pi4", "pi3"], default="3pi4",
                        help="third fig1 curve: 3pi/4 (body text) or pi/3 (caption)")
@@ -126,7 +143,7 @@ def build_parser() -> _Parser:
     p_orc.add_argument("--points", type=int, default=50)
     p_orc.add_argument("--tol", type=float, default=1e-6, help="pass threshold")
     p_orc.add_argument("--frame", choices=list(FRAMES), default="corotating")
-    p_orc.add_argument("--phi", type=float, default=0.0, help="coherent phase")
+    p_orc.add_argument("--phi", type=float, help=f"coherent phase (default {CavityConfig.phi:g})")
 
     p_self = sub.add_parser("selftest", help="run the acceptance criteria")
     p_self.add_argument("--fast", action="store_true", help="reduced grids, smoke test only")
@@ -154,8 +171,8 @@ def _cmd_state(args) -> int:
 
 
 def _cmd_spectrum(args) -> int:
-    cfg = CavityConfig(omega=args.omega, g=args.g, gamma=args.gamma, phi=args.phi)
-    levels = semiclassical_spectrum(cfg, args.gamma)
+    cfg = _cavity(vars(args))
+    levels = semiclassical_spectrum(cfg, cfg.gamma)
     for level in levels:
         print(f"branch {level.index}: energy = {level.energy:.12g}")
         if args.states:
@@ -185,20 +202,7 @@ def _merge_sweep_options(args) -> dict:
 
 def _cmd_sweep(args) -> int:
     opts = _merge_sweep_options(args)
-    spec = _spec(opts, args.degrees)
-    cfg = CavityConfig.from_mean_photons(
-        opts.get("gamma2", 0.0),
-        omega=opts.get("omega", 1.0), g=opts.get("g", 1.0), phi=opts.get("phi", 0.0),
-    )
-    outputs = tuple(opts.get("outputs", "p_chsh_max,concurrence,trace_deficit").split(","))
-    if args.rho_out and "rho_elements" not in outputs:
-        outputs = outputs + ("rho_elements",)
-    job = SweepJob(
-        spec, cfg,
-        start=opts.get("t_start", 0.0), stop=opts.get("t_end", 10.0),
-        count=opts.get("points", 400), tol=opts.get("tol", 1e-10),
-        outputs=outputs, renormalize=opts.get("renormalize", False),
-    )
+    job = SweepJob(_spec(opts, args.degrees), _cavity(opts), **_job_fields(opts))
     series = run_sweep(job)
     write_series_csv(series, args.out)
     write_manifest(series_manifest(series), str(args.out) + ".json" if not str(args.out).endswith(".csv")
@@ -214,8 +218,7 @@ def _cmd_figure(args) -> int:
     preset = figure_preset(args.figure, fig1_third_xi=args.fig1_third_xi,
                            fig3_panel2=args.fig3_panel2)
     panels = [int(tok) for tok in args.panels.split(",")] if args.panels else None
-    manifest = run_figure(preset, args.outdir, start=args.t_start, stop=args.t_end,
-                          count=args.points, tol=args.tol, panels=panels)
+    manifest = run_figure(preset, args.outdir, panels=panels, **_job_fields(vars(args)))
     print(f"wrote {len(manifest['files'])} series for {args.figure} into {args.outdir}")
     for note in manifest["notes"]:
         print(f"note: {note}")
@@ -224,11 +227,7 @@ def _cmd_figure(args) -> int:
 
 def _cmd_oracle_check(args) -> int:
     spec = _spec(vars(args), args.degrees)
-    cfg = CavityConfig.from_mean_photons(
-        args.gamma2 if args.gamma2 is not None else 0.0,
-        omega=args.omega if args.omega is not None else 1.0,
-        g=args.g if args.g is not None else 1.0,
-        phi=args.phi)
+    cfg = _cavity(vars(args))
     if args.points < 1:
         raise ValueError(f"--points must be >= 1, got {args.points}")
     times = np.linspace(0.0, args.t_end * cfg.period, args.points)

@@ -31,6 +31,8 @@ from .numerics import coherent_log_amplitudes
 from .states import SPIN_EXCITATIONS, CavityConfig, EntangledStateSpec, Polarization
 
 SECTOR_CAP = 4096
+#: default Poisson-tail tolerance of the closed form
+DEFAULT_TOL = 1e-10
 #: sectors evaluated beyond the Poisson n_max; the dynamics moves photon
 #: number by up to two relative to the initial distribution
 SAFETY_SECTORS = 2
@@ -144,7 +146,7 @@ def sector_amplitudes(spec: EntangledStateSpec, times, cfg: CavityConfig,
 
 
 def reduced_densities(spec: EntangledStateSpec, times, cfg: CavityConfig,
-                      tol: float = 1e-10) -> tuple[np.ndarray, FockTruncation]:
+                      tol: float = DEFAULT_TOL) -> tuple[np.ndarray, FockTruncation]:
     """Reduced spin densities rho_r(t), shape (len(times), 4, 4), Poisson tail <= tol.
 
     Sectors run to n_max + SAFETY_SECTORS.  Each trace sits in
@@ -159,7 +161,7 @@ def reduced_densities(spec: EntangledStateSpec, times, cfg: CavityConfig,
 
 
 def reduced_density(spec: EntangledStateSpec, t: float, cfg: CavityConfig,
-                    tol: float = 1e-10) -> tuple[np.ndarray, FockTruncation]:
+                    tol: float = DEFAULT_TOL) -> tuple[np.ndarray, FockTruncation]:
     """Reduced spin density at one time; see reduced_densities."""
     rhos, trunc = reduced_densities(spec, [t], cfg, tol)
     return rhos[0], trunc

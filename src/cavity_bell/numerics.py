@@ -49,12 +49,12 @@ def hermiticity_defect(m: np.ndarray) -> float:
     return float(np.abs(m - _dagger(m)).max())
 
 
-def hermitian_eigensystem(m, tol: float = 1e-9):
+def hermitian_eigensystem(m):
     """Eigenvalues (ascending) and orthonormal eigenvectors of a Hermitian matrix.
 
     ``m`` may also be a stack of shape (..., n, n); the results then carry the
     same leading axes, one LAPACK call for the whole stack.  Every member must
-    satisfy ``max|M - M^dag| <= tol``; the symmetrized matrix is handed to
+    satisfy ``max|M - M^dag| <= 1e-9``; the symmetrized matrix is handed to
     LAPACK so the reconstruction ``V diag(w) V^dag`` matches the input to the
     same order.
     """
@@ -62,8 +62,8 @@ def hermitian_eigensystem(m, tol: float = 1e-9):
     if arr.shape[-1] != arr.shape[-2]:
         raise ValueError("matrix is not square")
     defect = hermiticity_defect(arr)
-    if defect > tol:
-        raise ValueError(f"matrix is not Hermitian: defect {defect:.3e} > {tol:.3e}")
+    if defect > 1e-9:
+        raise ValueError(f"matrix is not Hermitian: defect {defect:.3e} > 1e-9")
     try:
         w, v = np.linalg.eigh(0.5 * (arr + _dagger(arr)))
     except np.linalg.LinAlgError as exc:

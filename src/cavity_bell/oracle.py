@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import SAFETY_SECTORS, choose_truncation, reduced_densities
+from .dynamics import DEFAULT_TOL, SAFETY_SECTORS, choose_truncation, reduced_densities
 from .numerics import coherent_log_amplitudes, hermitian_eigensystem
 from .states import (
     J_MINUS,
@@ -188,10 +188,10 @@ class Propagator:
         return out
 
 
-def default_n_fock(cfg: CavityConfig, closed_tol: float = 1e-10) -> int:
+def default_n_fock(cfg: CavityConfig) -> int:
     """Fock cap covering both the coherent tail (1e-12) and the sector sum."""
     coherent_need = choose_truncation(cfg.gamma, 1e-12).n_max
-    closed_need = choose_truncation(cfg.gamma, closed_tol).n_max + SAFETY_SECTORS
+    closed_need = choose_truncation(cfg.gamma, DEFAULT_TOL).n_max + SAFETY_SECTORS
     return max(coherent_need, closed_need) + ORACLE_SLACK
 
 
@@ -253,13 +253,12 @@ class ComparisonReport:
 
 
 def compare_closed_form(spec: EntangledStateSpec, cfg: CavityConfig, times,
-                        tol: float = 1e-6, closed_tol: float = 1e-10,
-                        frame: str = "corotating") -> ComparisonReport:
-    """Element-wise deviation between the sector expansion and the joint-space
-    evolution on a time grid."""
+                        tol: float = 1e-6, frame: str = "corotating") -> ComparisonReport:
+    """Element-wise deviation between the sector expansion, at its default
+    Poisson-tail tolerance, and the joint-space evolution on a time grid."""
     times = np.asarray(times, dtype=float)
-    n_fock = default_n_fock(cfg, closed_tol)
+    n_fock = default_n_fock(cfg)
     oracle_rhos, _ = reduced_dynamics(spec, cfg, times, frame=frame, n_fock=n_fock)
-    closed, trunc = reduced_densities(spec, times, cfg, tol=closed_tol)
+    closed, trunc = reduced_densities(spec, times, cfg)
     devs = np.abs(closed - oracle_rhos).max(axis=(1, 2))
     return ComparisonReport(times, devs, tol, frame, n_fock, trunc.n_max)

@@ -12,21 +12,18 @@ from __future__ import annotations
 import configparser
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from .correlations import concurrence, max_chsh
-from .dynamics import reduced_density
+from .dynamics import DEFAULT_TOL, reduced_density
 from .states import CavityConfig, EntangledStateSpec, Polarization
 
 CSV_HEADER = "t_over_T,p_chsh_max,concurrence,trace_deficit"
-SCHEMA_VERSION = 2
-
-KNOWN_OUTPUTS = ("p_chsh_max", "concurrence", "trace_deficit", "rho_elements")
-DEFAULT_OUTPUTS = ("p_chsh_max", "concurrence", "trace_deficit")
+SCHEMA_VERSION = 3
 
 #: angle labels used in figure presets and file names
 ANGLES = {
@@ -40,15 +37,15 @@ ANGLES = {
 
 @dataclass(frozen=True)
 class SweepJob:
-    """One time sweep: state family, cavity, grid in units of T, and outputs."""
+    """One time sweep: state family, cavity, grid in units of T, tail tolerance.
+    These are the only grid defaults; the CLI and ``run_figure`` pass on only given values."""
 
     spec: EntangledStateSpec
     cfg: CavityConfig
     start: float = 0.0
     stop: float = 10.0
     count: int = 400
-    tol: float = 1e-10
-    outputs: tuple[str, ...] = DEFAULT_OUTPUTS
+    tol: float = DEFAULT_TOL
     renormalize: bool = False
 
     def __post_init__(self):
@@ -58,9 +55,6 @@ class SweepJob:
             raise ValueError("start must be < stop")
         if not 0.0 < self.tol <= 1e-3:
             raise ValueError("tol must lie in (0, 1e-3]")
-        unknown = set(self.outputs) - set(KNOWN_OUTPUTS)
-        if unknown:
-            raise ValueError(f"unknown outputs: {sorted(unknown)}")
 
     def times_over_period(self) -> np.ndarray:
         return np.linspace(self.start, self.stop, self.count)
@@ -68,7 +62,7 @@ class SweepJob:
 
 @dataclass
 class CorrelationSeries:
-    """Per-time maximum CHSH value and concurrence, plus truncation metadata."""
+    """Per-time reduced density, maximum CHSH value, concurrence; truncation metadata."""
 
     times_over_T: np.ndarray
     p_chsh_max: np.ndarray
@@ -77,7 +71,7 @@ class CorrelationSeries:
     n_max: int
     tail_bound: float
     job: SweepJob
-    rho: np.ndarray | None = None
+    rho: np.ndarray
 
 
 def run_sweep(job: SweepJob) -> CorrelationSeries:
@@ -101,7 +95,7 @@ def run_sweep(job: SweepJob) -> CorrelationSeries:
         n_max=trunc.n_max,
         tail_bound=trunc.tail_bound,
         job=job,
-        rho=rho if "rho_elements" in job.outputs else None,
+        rho=rho,
     )
 
 
@@ -123,7 +117,6 @@ def series_manifest(series: CorrelationSeries) -> dict:
         "t_stop_over_T": job.stop,
         "points": job.count,
         "tol": job.tol,
-        "outputs": ",".join(job.outputs),
         "renormalize": job.renormalize,
         "n_max": series.n_max,
         "tail_bound": series.tail_bound,
@@ -145,8 +138,6 @@ def write_series_csv(series: CorrelationSeries, path) -> None:
 
 def write_rho_csv(series: CorrelationSeries, path) -> None:
     """Side-car CSV with the full reduced density per time (re/im of all 16 entries)."""
-    if series.rho is None:
-        raise ValueError("sweep was run without the rho_elements output")
     cols = ["t_over_T"] + [f"{part}_{i}{j}" for i in range(1, 5) for j in range(1, 5)
                            for part in ("re", "im")]
     # a complex (T, 4, 4) array viewed as float interleaves re and im in header order
@@ -221,13 +212,12 @@ def _gamma2_label(g2: float) -> str:
     return ("%g" % g2).replace(".", "p")
 
 
-def run_figure(preset: FigurePreset, outdir, start: float = 0.0, stop: float = 10.0,
-               count: int = 400, tol: float = 1e-10, panels=None,
-               omega: float = 1.0, g: float = 1.0) -> dict:
+def run_figure(preset: FigurePreset, outdir, panels=None, **grid) -> dict:
     """Sweep every (panel, curve) of a preset into CSV files plus a manifest.
 
     ``panels`` selects distinct 1-based panels; an out-of-range or repeated
-    panel is a ValueError.
+    panel is a ValueError.  ``grid`` holds any of the SweepJob fields start,
+    stop, count and tol; the rest keep their SweepJob defaults.
     """
     selected = range(1, len(preset.panel_gamma2) + 1) if panels is None else list(panels)
     bad = [p for p in selected if not 1 <= p <= len(preset.panel_gamma2)]
@@ -242,8 +232,7 @@ def run_figure(preset: FigurePreset, outdir, start: float = 0.0, stop: float = 1
         g2 = preset.panel_gamma2[panel - 1]
         for label, xi, eta in preset.curves:
             spec = EntangledStateSpec(preset.polarization, xi, eta)
-            cfg = CavityConfig.from_mean_photons(g2, omega=omega, g=g)
-            job = SweepJob(spec, cfg, start=start, stop=stop, count=count, tol=tol)
+            job = SweepJob(spec, CavityConfig.from_mean_photons(g2), **grid)
             series = run_sweep(job)
             name = f"{preset.figure}_p{panel}_g2-{_gamma2_label(g2)}_{label}.csv"
             write_series_csv(series, outdir / name)
@@ -272,7 +261,7 @@ def load_job_config(path) -> dict:
     """Read a key = value config mirroring SweepJob fields; returns a flat dict.
 
     Sections: [state] polarization/xi/eta, [cavity] omega/g/gamma2/phi,
-    [grid] start/stop/count, [run] tol/outputs/renormalize.  Any other
+    [grid] start/stop/count, [run] tol/renormalize.  Any other
     section or key is a ValueError naming it.  CLI flags override whatever
     the file sets.
     """
@@ -293,7 +282,6 @@ def load_job_config(path) -> dict:
         ("grid", "stop"): ("t_end", float),
         ("grid", "count"): ("points", int),
         ("run", "tol"): ("tol", float),
-        ("run", "outputs"): ("outputs", str),
         ("run", "renormalize"): ("renormalize", None),
     }
     for section in (parser.default_section, *parser.sections()):

@@ -43,6 +43,7 @@ def test_criterion_3_bounds(crit1, crit2):
 def test_criterion_4_initial_values():
     result = acceptance.criterion_4_initial_values()
     assert _report(result).passed, result.detail
+    assert "(64-point grid" in result.detail
 
 
 def test_criterion_5_vacuum_rabi():

@@ -9,6 +9,7 @@ from cavity_bell import cli
 from cavity_bell.cli import main
 from cavity_bell.correlations import concurrence, max_chsh
 from cavity_bell.dynamics import reduced_densities, reduced_density
+from cavity_bell.oracle import compare_closed_form
 from cavity_bell.states import CavityConfig, EntangledStateSpec, Polarization
 from cavity_bell.sweeps import (
     CSV_HEADER,
@@ -40,8 +41,6 @@ def test_job_validation():
         small_job(start=2.0, stop=1.0)
     with pytest.raises(ValueError):
         small_job(tol=1e-2)
-    with pytest.raises(ValueError):
-        small_job(outputs=("p_chsh_max", "entropy"))
 
 
 def test_singlet_sweep_is_flat():
@@ -91,13 +90,13 @@ def test_manifest_flat_and_complete():
     for key in ("schema_version", "n_max", "tail_bound", "polarization", "xi",
                 "eta", "omega", "g", "gamma2", "phi", "tol", "points"):
         assert key in manifest
-    assert manifest["schema_version"] == 2
-    assert "seed" not in manifest
+    assert manifest["schema_version"] == 3
+    assert "seed" not in manifest and "outputs" not in manifest
     assert all(not isinstance(v, (dict, list)) for v in manifest.values())
 
 
 def test_rho_csv(tmp_path):
-    job = small_job(outputs=("p_chsh_max", "concurrence", "trace_deficit", "rho_elements"))
+    job = small_job()
     series = run_sweep(job)
     path = tmp_path / "rho.csv"
     write_rho_csv(series, path)
@@ -105,14 +104,11 @@ def test_rho_csv(tmp_path):
         rows = list(csv.DictReader(fh))
     assert len(rows) == job.count
     assert math.isclose(float(rows[0]["re_22"]), 0.5, abs_tol=1e-12)
-    with pytest.raises(ValueError):
-        write_rho_csv(run_sweep(small_job()), tmp_path / "missing.csv")
 
 
 def test_sweep_renormalize_keeps_trace_deficit():
     cfg = CavityConfig.from_mean_photons(5.0)
     job = SweepJob(ANTI_QUARTER, cfg, start=0.0, stop=2.0, count=9, tol=1e-6,
-                   outputs=("p_chsh_max", "concurrence", "trace_deficit", "rho_elements"),
                    renormalize=True)
     series = run_sweep(job)
     assert np.abs(np.trace(series.rho, axis1=1, axis2=2).real - 1.0).max() <= 1e-14
@@ -121,9 +117,6 @@ def test_sweep_renormalize_keeps_trace_deficit():
     deficit = 1.0 - np.trace(raw, axis1=1, axis2=2).real
     assert deficit.max() > 1e-9
     assert np.abs(series.trace_deficit - deficit).max() <= 1e-14
-
-
-ALL_OUTPUTS = ("p_chsh_max", "concurrence", "trace_deficit", "rho_elements")
 
 
 @pytest.mark.parametrize("polarization, gamma2, renormalize", [
@@ -137,8 +130,7 @@ def test_sweep_equals_scalar_path(polarization, gamma2, renormalize):
     # the stacked diagnostics must reproduce the per-point calls bit for bit
     cfg = CavityConfig.from_mean_photons(gamma2)
     job = SweepJob(EntangledStateSpec(polarization, 0.7, 1.1), cfg, start=0.0, stop=6.0,
-                   count=25, tol=1e-6 if renormalize else 1e-10, outputs=ALL_OUTPUTS,
-                   renormalize=renormalize)
+                   count=25, tol=1e-6 if renormalize else 1e-10, renormalize=renormalize)
     series = run_sweep(job)
     for k, tau in enumerate(series.times_over_T):
         rho, trunc = reduced_density(job.spec, tau * cfg.period, cfg, tol=job.tol)
@@ -154,8 +146,7 @@ def test_sweep_equals_scalar_path(polarization, gamma2, renormalize):
 
 def test_rho_csv_round_trip(tmp_path):
     job = SweepJob(EntangledStateSpec(Polarization.PARALLEL, 0.7, 1.1),
-                   CavityConfig.from_mean_photons(1.0), start=0.0, stop=3.0, count=7,
-                   outputs=ALL_OUTPUTS)
+                   CavityConfig.from_mean_photons(1.0), start=0.0, stop=3.0, count=7)
     series = run_sweep(job)
     path = tmp_path / "rho.csv"
     write_rho_csv(series, path)
@@ -178,7 +169,7 @@ def test_series_csv_fixed_text(tmp_path):
         p_chsh_max=np.array([2.0, 0.1 + 0.2, 2 * math.sqrt(2)]),
         concurrence=np.array([1.0, 0.5, 0.0]),
         trace_deficit=np.array([0.0, -1e-17, 2.220446049250313e-16]),
-        n_max=0, tail_bound=0.0, job=small_job(count=3))
+        n_max=0, tail_bound=0.0, job=small_job(count=3), rho=np.zeros((3, 4, 4)))
     path = tmp_path / "series.csv"
     write_series_csv(series, path)
     assert path.read_bytes() == (
@@ -220,8 +211,9 @@ def test_run_figure_writes_files_and_manifest(tmp_path):
         assert (tmp_path / entry["file"]).exists()
         assert (tmp_path / (entry["file"][:-4] + ".json")).exists()
         assert entry["panel"] == 1
+        assert entry["schema_version"] == 3 and "outputs" not in entry
     top = json.loads((tmp_path / "fig1_manifest.json").read_text())
-    assert top["schema_version"] == 2
+    assert top["schema_version"] == 3
     assert top["notes"]
     assert "seed" not in top
 
@@ -257,7 +249,7 @@ def test_load_job_config(tmp_path):
 
 
 @pytest.mark.parametrize("section,key", [("grid", "points"), ("run", "workers"),
-                                         ("run", "seed"), ("plot", "dpi")])
+                                         ("run", "seed"), ("run", "outputs"), ("plot", "dpi")])
 def test_load_job_config_rejects_unknown_keys(tmp_path, section, key):
     cfg_file = tmp_path / "job.ini"
     cfg_file.write_text(f"[state]\nxi = 0.5\n[{section}]\n{key} = 2\n")
@@ -310,6 +302,27 @@ def test_cli_degrees_converts_only_given_angles(tmp_path, capsys, monkeypatch):
                         lambda spec, *a, **kw: seen.append(spec) or real_compare(spec, *a, **kw))
     assert main(["oracle-check", "--degrees", "--t-end", "1", "--points", "3"]) == 0
     assert (seen[0].xi, seen[0].eta) == (math.pi / 4, 0.0)
+
+
+def test_cli_defaults_are_library_defaults(tmp_path, monkeypatch):
+    # with no grid or cavity flags, every value comes from SweepJob and CavityConfig
+    job, cfg = SweepJob(ANTI_QUARTER, CavityConfig()), CavityConfig()
+    expected = {"t_start_over_T": job.start, "t_stop_over_T": job.stop, "points": job.count,
+                "tol": job.tol, "omega": cfg.omega, "g": cfg.g, "phi": cfg.phi}
+    assert main(["sweep", "--out", str(tmp_path / "x.csv")]) == 0
+    manifest = json.loads((tmp_path / "x.json").read_text())
+    assert {k: manifest[k] for k in expected} == expected
+    assert manifest["gamma2"] == cfg.mean_photons
+    assert main(["figure", "--figure", "fig1", "--panels", "1",
+                 "--outdir", str(tmp_path / "fig")]) == 0
+    files = json.loads((tmp_path / "fig" / "fig1_manifest.json").read_text())["files"]
+    assert len(files) == 3
+    assert all({k: entry[k] for k in expected} == expected for entry in files)
+    seen = []
+    monkeypatch.setattr(cli, "compare_closed_form", lambda spec, cfg, *a, **kw: seen.append(cfg)
+                        or compare_closed_form(spec, cfg, *a, **kw))
+    assert main(["oracle-check", "--t-end", "1", "--points", "3"]) == 0
+    assert seen == [cfg]
 
 
 def test_cli_sweep_roundtrip(tmp_path, capsys):
