@@ -11,7 +11,7 @@ from . import __version__
 from .correlations import concurrence, max_chsh
 from .dynamics import DEFAULT_TOL, TruncationError
 from .numerics import NumericalFailure
-from .oracle import FRAMES, TruncationTooSmall, compare_closed_form
+from .oracle import FRAMES, PASS_TOL, TruncationTooSmall, compare_closed_form
 from .states import (
     BASIS_LABELS,
     CavityConfig,
@@ -141,7 +141,8 @@ def build_parser() -> _Parser:
     _add_state_args(p_orc)
     p_orc.add_argument("--t-end", type=float, default=5.0, help="grid end in units of T")
     p_orc.add_argument("--points", type=int, default=50)
-    p_orc.add_argument("--tol", type=float, default=1e-6, help="pass threshold")
+    p_orc.add_argument("--tol", type=float, default=PASS_TOL,
+                       help=f"pass threshold (default {PASS_TOL:g})")
     p_orc.add_argument("--frame", choices=list(FRAMES), default="corotating")
     p_orc.add_argument("--phi", type=float, help=f"coherent phase (default {CavityConfig.phi:g})")
 

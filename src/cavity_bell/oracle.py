@@ -55,6 +55,11 @@ ORACLE_SLACK = 8
 #: highest tolerated population in the top two photon sectors; the a^dag
 #: matrix is cut (not wrapped), so leakage is detected instead of corrupted
 EDGE_LIMIT = 1e-10
+#: highest coherent-state mass the Fock cut may drop: `default_n_fock` covers
+#: it and `initial_joint` refuses a cut that does not
+COHERENT_TAIL = 1e-12
+#: default pass threshold of `compare_closed_form` (and of ``oracle-check --tol``)
+PASS_TOL = 1e-6
 
 
 @dataclass(frozen=True, eq=False)
@@ -122,9 +127,9 @@ def initial_joint(spec: EntangledStateSpec, cfg: CavityConfig, n_fock: int) -> n
     flat amplitudes ordered (spin index, photon number)."""
     fieldamps = coherent_amplitudes(cfg.gamma, cfg.phi, n_fock)
     deficit = 1.0 - float(np.vdot(fieldamps, fieldamps).real)
-    if deficit > 1e-12:
+    if deficit > COHERENT_TAIL:
         raise TruncationTooSmall(
-            f"coherent tail beyond n_fock={n_fock} is {deficit:.3e} > 1e-12"
+            f"coherent tail beyond n_fock={n_fock} is {deficit:.3e} > {COHERENT_TAIL:g}"
         )
     amps = np.outer(make_entangled(spec), fieldamps).ravel()
     return amps / np.linalg.norm(amps)
@@ -189,8 +194,8 @@ class Propagator:
 
 
 def default_n_fock(cfg: CavityConfig) -> int:
-    """Fock cap covering both the coherent tail (1e-12) and the sector sum."""
-    coherent_need = choose_truncation(cfg.gamma, 1e-12).n_max
+    """Fock cap covering both the coherent tail (COHERENT_TAIL) and the sector sum."""
+    coherent_need = choose_truncation(cfg.gamma, COHERENT_TAIL).n_max
     closed_need = choose_truncation(cfg.gamma, DEFAULT_TOL).n_max + SAFETY_SECTORS
     return max(coherent_need, closed_need) + ORACLE_SLACK
 
@@ -253,7 +258,7 @@ class ComparisonReport:
 
 
 def compare_closed_form(spec: EntangledStateSpec, cfg: CavityConfig, times,
-                        tol: float = 1e-6, frame: str = "corotating") -> ComparisonReport:
+                        tol: float = PASS_TOL, frame: str = "corotating") -> ComparisonReport:
     """Element-wise deviation between the sector expansion, at its default
     Poisson-tail tolerance, and the joint-space evolution on a time grid."""
     times = np.asarray(times, dtype=float)

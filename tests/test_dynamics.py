@@ -4,6 +4,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from cavity_bell import dynamics
 from cavity_bell.correlations import max_chsh
 from cavity_bell.dynamics import (
     SAFETY_SECTORS,
@@ -218,6 +219,45 @@ def test_grid_matches_one_point_wrapper(rng):
             rho, trunc_t = reduced_density(spec, t, cfg)
             assert trunc_t == trunc
             assert np.abs(grid[k] - rho).max() <= 1e-15
+
+
+@pytest.mark.parametrize("polarization", list(Polarization))
+@pytest.mark.parametrize("gamma2", [0.01, 1.0, 15.0, 150.0])
+def test_per_point_calls_stack_to_the_grid_call(polarization, gamma2):
+    # a sweep may evaluate its grid point by point or in one call: same bits
+    cfg = CavityConfig.from_mean_photons(gamma2)
+    spec = EntangledStateSpec(polarization, 0.7, 0.3)
+    times = np.linspace(0.0, 10 * cfg.period, 400)
+    grid, _ = reduced_densities(spec, times, cfg)
+    assert np.array_equal(np.stack([reduced_density(spec, t, cfg)[0] for t in times]), grid)
+
+
+def test_cached_constants_do_not_leak_between_jobs():
+    times = np.linspace(0.0, 7.0, 5)
+    first = sector_amplitudes(ANTI_QUARTER, times, CavityConfig(gamma=2.0), 30)
+    sector_amplitudes(PAR_S, times, CavityConfig(gamma=3.5), 30)
+    again = sector_amplitudes(ANTI_QUARTER, times, CavityConfig(gamma=2.0), 30)
+    assert np.array_equal(again, first)
+    # the caller owns the result; only the cached tables are shared
+    again[...] = 0.0
+    assert np.array_equal(sector_amplitudes(ANTI_QUARTER, times, CavityConfig(gamma=2.0), 30),
+                          first)
+
+
+@pytest.mark.parametrize("polarization", list(Polarization))
+def test_cached_constants_are_read_only(polarization):
+    weights, consts = dynamics._sector_constants(polarization, 1.5, 10)
+    for arr in (weights, *consts):
+        with pytest.raises(ValueError):
+            arr[0] = 1.0
+
+
+def test_truncation_refusals_are_not_cached():
+    for _ in range(2):
+        with pytest.raises(TruncationError):
+            choose_truncation(math.sqrt(5.0), 1e-300)
+        with pytest.raises(ValueError):
+            choose_truncation(1.0, 0.0)
 
 
 def test_reduced_density_initial_and_singlet():

@@ -5,11 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from cavity_bell import cli
+from cavity_bell import cli, dynamics
 from cavity_bell.cli import main
 from cavity_bell.correlations import concurrence, max_chsh
 from cavity_bell.dynamics import reduced_densities, reduced_density
-from cavity_bell.oracle import compare_closed_form
+from cavity_bell.oracle import PASS_TOL, compare_closed_form
 from cavity_bell.states import CavityConfig, EntangledStateSpec, Polarization
 from cavity_bell.sweeps import (
     CSV_HEADER,
@@ -218,6 +218,17 @@ def test_run_figure_writes_files_and_manifest(tmp_path):
     assert "seed" not in top
 
 
+def test_run_figure_same_bytes_with_cold_and_warm_caches(tmp_path):
+    def files(outdir):
+        run_figure(figure_preset("fig3"), outdir, panels=[4], count=12)
+        return {f.name: f.read_bytes() for f in sorted(outdir.iterdir())}
+
+    dynamics.choose_truncation.cache_clear()
+    dynamics._sector_constants.cache_clear()
+    cold = files(tmp_path / "cold")
+    assert files(tmp_path / "warm") == cold
+
+
 @pytest.mark.parametrize("panel", [0, 5])
 def test_run_figure_rejects_out_of_range_panel(tmp_path, panel):
     with pytest.raises(ValueError, match="out of range"):
@@ -319,10 +330,10 @@ def test_cli_defaults_are_library_defaults(tmp_path, monkeypatch):
     assert len(files) == 3
     assert all({k: entry[k] for k in expected} == expected for entry in files)
     seen = []
-    monkeypatch.setattr(cli, "compare_closed_form", lambda spec, cfg, *a, **kw: seen.append(cfg)
-                        or compare_closed_form(spec, cfg, *a, **kw))
+    monkeypatch.setattr(cli, "compare_closed_form", lambda spec, cfg, *a, **kw:
+                        seen.append((cfg, kw["tol"])) or compare_closed_form(spec, cfg, *a, **kw))
     assert main(["oracle-check", "--t-end", "1", "--points", "3"]) == 0
-    assert seen == [cfg]
+    assert seen == [(cfg, PASS_TOL)]
 
 
 def test_cli_sweep_roundtrip(tmp_path, capsys):
