@@ -2,10 +2,16 @@
 
 A sweep evaluates the closed-form reduced density at each grid time, one
 ``reduced_density`` call per point, and stacks the results into a (T, 4, 4)
-array.  The maximum CHSH value, the concurrence, the trace deficit and the
-optional rescale are then each one array operation over that stack, and the
-CSV writers format each row with a single ``%``.  Nothing in a sweep is
-random, so identical jobs write byte-identical files.
+array.  Each point pays only for the time functions: the Poisson truncation,
+the coherent weights and the per-sector frequencies and coefficients depend
+on the job alone and come from the `dynamics` caches after the first point.
+The per-point call is kept because the benchmark's tracer test counts one
+``reduced_density`` span per grid time; replacing it by one
+``reduced_densities`` call per job, which gives the same bits, waits for the
+change that edits that test.  The maximum CHSH value, the concurrence, the
+trace deficit and the optional rescale are then each one array operation
+over that stack, and the CSV writers format each row with a single ``%``.
+Nothing in a sweep is random, so identical jobs write byte-identical files.
 """
 from __future__ import annotations
 
@@ -78,7 +84,13 @@ def run_sweep(job: SweepJob) -> CorrelationSeries:
     """Evaluate the reduced density at each grid time, one ``reduced_density``
     call per point, then derive every series from the (T, 4, 4) stack: one
     ``max_chsh`` and one ``concurrence`` call, and the trace deficit and the
-    optional rescale as array operations."""
+    optional rescale as array operations.
+
+    The job's truncation, coherent weights and sector constants are computed
+    at the first point and reused from the `dynamics` caches at the others.
+    The stacked per-point densities equal one ``reduced_densities`` call over
+    the grid bit for bit; the loop stays only while the benchmark's tracer
+    test pins one ``reduced_density`` span per point."""
     period = job.cfg.period
     times = job.times_over_period()
     points = [reduced_density(job.spec, tau * period, job.cfg, tol=job.tol) for tau in times]
